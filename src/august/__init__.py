@@ -39,6 +39,7 @@ from .errors import (
     IOFailure,
     LambdaMismatch,
     LengthNotPowerOfTwo,
+    NonFiniteInput,
     ParseError,
     QuadratureFailure,
     SampleTooSmall,
@@ -114,8 +115,9 @@ __all__ = [
     "BaselineResult", "ks_statistic", "energy_statistic",
     "baseline_permutation_test",
     # errors
-    "AugustError", "SampleTooSmall", "TiesPresent", "TooManyCombinations",
-    "DepthOutOfRange", "LengthNotPowerOfTwo", "DegenerateVector",
+    "AugustError", "SampleTooSmall", "NonFiniteInput", "TiesPresent",
+    "TooManyCombinations", "DepthOutOfRange", "LengthNotPowerOfTwo",
+    "DegenerateVector",
     "LambdaMismatch", "QuadratureFailure", "SingularCovariance",
     "DimensionMismatch", "EmptySample", "IOFailure", "ParseError",
 ]

@@ -1,4 +1,4 @@
-"""Deterministic RNG streams for Monte-Carlo replicates.
+"""The replicate engine: seeded streams, replicate blocks and add-one p-values.
 
 Every stochastic operation derives one stream per replicate from
 ``(seed, domain, index)``.  Aggregation is always order-independent
@@ -18,6 +18,9 @@ BOOTSTRAP = 4
 ASYMPTOTIC = 5
 TIE_JITTER = 6
 BASELINE = 7
+NESTED_TEST = 8
+
+BLOCK = 2048
 
 
 def replicate_rng(seed, domain, index=0):
@@ -25,3 +28,36 @@ def replicate_rng(seed, domain, index=0):
     if seed < 0:
         raise ValueError("seed must be a nonnegative integer")
     return np.random.default_rng(np.random.SeedSequence((seed, domain, index)))
+
+
+def replicate_blocks(seed, domain, reps, gen_x, gen_y, m, n):
+    """Yield ``(xs, ys)`` stacks of up to ``BLOCK`` replicate pairs.
+
+    Replicate i draws x, then y, from ``replicate_rng(seed, domain, i)``.
+    """
+    for start in range(0, reps, BLOCK):
+        size = min(BLOCK, reps - start)
+        for row in range(size):
+            rng = replicate_rng(seed, domain, start + row)
+            x, y = gen_x(rng, m), gen_y(rng, n)
+            if row == 0:  # a draw is a vector of values or a matrix of points
+                xs = np.empty((size,) + x.shape)
+                ys = np.empty((size,) + y.shape)
+            xs[row], ys[row] = x, y
+        yield xs, ys
+
+
+def nested_seed(seed, index):
+    """Seed for the test nested in replicate ``index`` of a power study."""
+    return int(replicate_rng(seed, NESTED_TEST, index).integers(2**63))
+
+
+def add_one_p_value(null, statistic):
+    """Add-one p-value ``(1 + #{t >= S}) / (B + 1)`` of a number or array S.
+
+    ``null`` holds the B null draws t, sorted ascending.  The added one
+    keeps p > 0 and the test valid at any finite B.
+    """
+    at_or_above = null.size - np.searchsorted(null, statistic, side="left")
+    p = (1 + at_or_above) / (null.size + 1)
+    return float(p) if np.ndim(p) == 0 else p

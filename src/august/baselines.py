@@ -94,15 +94,14 @@ def baseline_permutation_test(name, x, y, permutations, seed):
     observed = stat_fn(x, y)
     pooled = np.concatenate([x, y])
     m = x.size
-    at_or_above = 0
+    perm_stats = np.empty(permutations)
     for i in range(permutations):
         rng = _seeds.replicate_rng(seed, _seeds.BASELINE, i)
         shuffled = pooled[rng.permutation(pooled.size)]
-        if stat_fn(shuffled[:m], shuffled[m:]) >= observed:
-            at_or_above += 1
+        perm_stats[i] = stat_fn(shuffled[:m], shuffled[m:])
     return BaselineResult(
         name=name,
         statistic=observed,
-        p_value=(1 + at_or_above) / (permutations + 1),
+        p_value=_seeds.add_one_p_value(np.sort(perm_stats), observed),
         permutations=permutations,
     )

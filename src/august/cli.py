@@ -34,7 +34,6 @@ from .inference import (
     asymptotic_p_value,
     cached_null_table,
     estimate_sigma,
-    load_null_table,
     null_table_path,
     p_value,
     power_simulation,
@@ -364,33 +363,41 @@ def cmd_null_table(args):
     return EXIT_OK
 
 
-def _baseline_power(name, gen_x, gen_y, m, n, alpha, reps, permutations, seed):
-    rejections = 0
-    for i in range(reps):
-        rng = _seeds.replicate_rng(seed, _seeds.POWER_TRIAL, i)
-        x = gen_x(rng, m)
-        y = gen_y(rng, n)
-        outcome = baseline_permutation_test(name, x, y, permutations, seed + 1 + i)
-        if outcome.p_value <= alpha:
-            rejections += 1
-    return rejections / reps
+def _rejection_rate(test, gen_x, gen_y, args):
+    """Share of replicates whose nested p-value ``test(x, y, seed)`` is <= alpha.
+
+    Replicate i draws its pair from power-trial stream i and the nested
+    test's seed from nested-test stream i.
+    """
+    pairs = (
+        pair
+        for xs, ys in _seeds.replicate_blocks(
+            args.seed, _seeds.POWER_TRIAL, args.reps, gen_x, gen_y, args.m, args.n
+        )
+        for pair in zip(xs, ys)
+    )
+    rejections = sum(
+        test(x, y, _seeds.nested_seed(args.seed, i)) <= args.alpha
+        for i, (x, y) in enumerate(pairs)
+    )
+    return rejections / args.reps
 
 
-def _multivariate_power(gen_x, gen_y, m, n, depth, alpha, reps, permutations, seed):
-    rejections = 0
-    for i in range(reps):
-        rng = _seeds.replicate_rng(seed, _seeds.POWER_TRIAL, i)
-        x = gen_x(rng, m)
-        y = gen_y(rng, n)
-        pval = permutation_p_value(x, y, depth, permutations, seed + 1 + i)
-        if pval <= alpha:
-            rejections += 1
-    return rejections / reps
+def _nested_test(test, args):
+    """The permutation test ``(x, y, seed) -> p-value`` that ``test`` names."""
+    if test == "august-multi":
+        return lambda x, y, seed: permutation_p_value(
+            x, y, args.multi_depth, args.permutations, seed
+        )
+    return lambda x, y, seed: baseline_permutation_test(
+        test, x, y, args.permutations, seed
+    ).p_value
 
 
 def cmd_power(args):
     names = args.families.split(",") if args.families else sorted(UNIVARIATE_FAMILIES)
     tests = args.tests.split(",")
+    table = None
     rows = []
     for name in names:
         family = get_family(name.strip())
@@ -400,27 +407,22 @@ def cmd_power(args):
         )
         for param in grid:
             gen_y = family.alternative(param)
-            if family.kind == "univariate":
-                for test in tests:
-                    if test == "august":
-                        power = power_simulation(
-                            family.null_sampler, gen_y, args.m, args.n,
-                            args.depth, args.alpha, args.reps, args.seed,
-                            table_sims=args.sims,
+            for test in tests if family.kind == "univariate" else ["august-multi"]:
+                if test == "august":
+                    if table is None:  # one null table serves the whole grid
+                        table, _ = cached_null_table(
+                            args.m, args.n, args.depth, args.sims, args.seed,
+                            "uniform", _cache_dir(args),
                         )
-                    else:
-                        power = _baseline_power(
-                            test, family.null_sampler, gen_y, args.m, args.n,
-                            args.alpha, args.reps, args.permutations, args.seed,
-                        )
-                    rows.append([family.name, param, test, power])
-            else:
-                power = _multivariate_power(
-                    family.null_sampler, gen_y, args.m, args.n,
-                    args.multi_depth, args.alpha, args.reps,
-                    args.permutations, args.seed,
-                )
-                rows.append([family.name, param, "august-multi", power])
+                    power = power_simulation(
+                        family.null_sampler, gen_y, args.m, args.n, args.depth,
+                        args.alpha, args.reps, args.seed, null_table=table,
+                    )
+                else:
+                    power = _rejection_rate(
+                        _nested_test(test, args), family.null_sampler, gen_y, args
+                    )
+                rows.append([family.name, param, test, power])
     _write_csv(["family", "parameter", "test", "power"], rows, args.report)
     return EXIT_OK
 

@@ -1,16 +1,17 @@
-"""The two-sample test statistic, computed two ways.
+"""The two-sample test statistic: one quadratic oracle and one fast kernel.
 
 ``august`` is the quadratic-time reference: each point of one sample gets
 its augmented CDF against the other sample by direct counting, and the
 statistic is ``S = -(s_x . s_y)`` where ``s_x`` and ``s_y`` are the
 Hadamard symmetry statistics of the averaged cell probabilities.
 
-``august_plus`` computes the identical result in ``O(N log N)`` by sorting:
-after a sort, the count of the other sample at or below each point is a
-rank, the per-count cell probabilities form a lookup table of size
-``O(N * 2**d)``, and averaging reduces to a count-weighted matrix product.
-The two routes must agree to 1e-12 in every field; that equivalence is the
-module's central correctness property.
+The fast kernel gets the identical result in ``O(N log N)`` by sorting:
+the count of the other sample at or below each point is a rank, the
+per-count cell probabilities form a lookup table, and averaging is a
+count-weighted matrix product.  ``august_many`` runs it on a batch of
+replicate pairs and ``august_plus`` on a batch of one, so an observed
+statistic and its null draws come from the same arithmetic.  Oracle and
+kernel must agree to 1e-12 in every field.
 
 Both samples' values enter only through ranks, so the statistic is
 invariant under joint strictly increasing transforms and is exactly
@@ -23,7 +24,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _seeds
-from .errors import DegenerateVector, SampleTooSmall, TiesPresent
+from .errors import DegenerateVector, NonFiniteInput, SampleTooSmall, TiesPresent
 from .hadamard import fwht
 from .hypergeom import SubsampleConfig, cell_probabilities_for_counts
 
@@ -117,35 +118,46 @@ def _resolve_ties(x, y, policy):
     return jittered[: x.size], jittered[x.size:], "jitter"
 
 
+def _check_samples(x, y, depth):
+    """Sizes and finiteness of (possibly batched) samples."""
+    r = minimum_sample_size(depth)
+    if x.shape[-1] < r or y.shape[-1] < r:
+        raise SampleTooSmall(
+            f"need at least {r} points per sample at depth {depth}, "
+            f"got sizes {x.shape[-1]} and {y.shape[-1]}"
+        )
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise NonFiniteInput("samples must not contain NaN or infinite values")
+
+
 def _prepare(x, y, depth, tie_policy):
     x = np.asarray(x, dtype=np.float64).ravel()
     y = np.asarray(y, dtype=np.float64).ravel()
-    r = minimum_sample_size(depth)
-    if x.size < r or y.size < r:
-        raise SampleTooSmall(
-            f"need at least {r} points per sample at depth {depth}, "
-            f"got sizes {x.size} and {y.size}"
-        )
+    _check_samples(x, y, depth)
     policy = tie_policy if tie_policy is not None else TiePolicy()
     return _resolve_ties(x, y, policy)
 
 
-def _assemble(p_x, p_y, depth, m, n, applied):
+def _statistics(p_x, p_y):
+    """Statistics and symmetry vectors from rows of averaged cell probabilities.
+
+    The first Hadamard coordinate of each row is its total mass, which must
+    be one; the remaining coordinates are the symmetry statistics.
+    """
     full_x = fwht(p_x)
     full_y = fwht(p_y)
-    assert abs(full_x[0] - 1.0) <= 1e-9 and abs(full_y[0] - 1.0) <= 1e-9
-    s_x = full_x[1:]
-    s_y = full_y[1:]
+    assert np.abs(full_x[:, 0] - 1.0).max() <= 1e-9
+    assert np.abs(full_y[:, 0] - 1.0).max() <= 1e-9
+    s_x = full_x[:, 1:]
+    s_y = full_y[:, 1:]
+    return -(s_x * s_y).sum(axis=1), s_x, s_y
+
+
+def _assemble(p_x, p_y, depth, m, n, applied):
+    """``AugustResult`` for the single row of ``p_x`` and ``p_y``."""
+    stats, s_x, s_y = _statistics(p_x, p_y)
     return AugustResult(
-        statistic=float(-(s_x @ s_y)),
-        s_x=s_x,
-        s_y=s_y,
-        p_x=p_x,
-        p_y=p_y,
-        depth=depth,
-        m=m,
-        n=n,
-        tie_policy_applied=applied,
+        float(stats[0]), s_x[0], s_y[0], p_x[0], p_y[0], depth, m, n, applied
     )
 
 
@@ -172,7 +184,7 @@ def august(x, y, depth, tie_policy=None):
     p_y = cell_probabilities_for_counts(
         _count_at_or_below(x, y), m, cfg
     ).mean(axis=0)
-    return _assemble(p_x, p_y, depth, m, n, applied)
+    return _assemble(p_x[None], p_y[None], depth, m, n, applied)
 
 
 @lru_cache(maxsize=8)
@@ -185,47 +197,20 @@ def _cell_prob_table(n, depth):
     return table
 
 
-def august_plus(x, y, depth, tie_policy=None):
-    """Sort-based computation; identical to ``august`` in O(N log N)."""
-    x, y, applied = _prepare(x, y, depth, tie_policy)
-    m, n = x.size, y.size
-    x_sorted = np.sort(x)
-    y_sorted = np.sort(y)
-    # The counts feed a bincount, so sorted queries (cache-friendly) are fine.
-    counts_x = np.searchsorted(y_sorted, x_sorted, side="right")
-    counts_y = np.searchsorted(x_sorted, y_sorted, side="right")
-    p_x = np.bincount(counts_x, minlength=n + 1) @ _cell_prob_table(n, depth) / m
-    p_y = np.bincount(counts_y, minlength=m + 1) @ _cell_prob_table(m, depth) / n
-    return _assemble(p_x, p_y, depth, m, n, applied)
+def _cell_means(xs, ys, depth):
+    """Averaged cell probabilities ``(p_x, p_y)`` of each replicate row.
 
-
-def august_many(xs, ys, depth):
-    """Batched statistics for Monte-Carlo work.
-
-    ``xs`` and ``ys`` are (B, m) and (B, n) matrices; row b is one
-    replicate pair.  Returns ``(statistics, s_x, s_y)`` with shapes (B,),
-    (B, 2**depth - 1), (B, 2**depth - 1).  Rows are assumed tie-free
-    (continuous draws); no tie policy is applied.  Matches ``august_plus``
-    row-by-row to 1e-12.
+    One argsort of each merged row gives every point's count of the other
+    sample at or below it; the counts are tallied per row, and a tally
+    times the cell table is the row's summed cell vectors.  Rows go through
+    in chunks of about 4e6 points.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
-    if xs.shape[0] != ys.shape[0]:
-        raise ValueError("xs and ys must have the same number of replicates")
     reps, m = xs.shape
     n = ys.shape[1]
-    r = minimum_sample_size(depth)
-    if m < r or n < r:
-        raise SampleTooSmall(
-            f"need at least {r} points per sample at depth {depth}, "
-            f"got sizes {m} and {n}"
-        )
     table_x = _cell_prob_table(n, depth)
     table_y = _cell_prob_table(m, depth)
-    width = 1 << depth
-    stats = np.empty(reps)
-    s_x = np.empty((reps, width - 1))
-    s_y = np.empty((reps, width - 1))
+    p_x = np.empty((reps, 1 << depth))
+    p_y = np.empty((reps, 1 << depth))
     chunk = max(1, 4_000_000 // (m + n))
     for start in range(0, reps, chunk):
         stop = min(start + chunk, reps)
@@ -244,16 +229,33 @@ def august_many(xs, ys, depth):
         tallies_y = np.bincount(
             (offsets * (m + 1) + counts_y).ravel(), minlength=rows * (m + 1)
         ).reshape(rows, m + 1)
-        p_x = tallies_x @ table_x / m
-        p_y = tallies_y @ table_y / n
-        full_x = fwht(p_x)
-        full_y = fwht(p_y)
-        assert abs(full_x[:, 0] - 1.0).max() <= 1e-9
-        assert abs(full_y[:, 0] - 1.0).max() <= 1e-9
-        s_x[start:stop] = full_x[:, 1:]
-        s_y[start:stop] = full_y[:, 1:]
-        stats[start:stop] = -(s_x[start:stop] * s_y[start:stop]).sum(axis=1)
-    return stats, s_x, s_y
+        p_x[start:stop] = tallies_x @ table_x / m
+        p_y[start:stop] = tallies_y @ table_y / n
+    return p_x, p_y
+
+
+def august_plus(x, y, depth, tie_policy=None):
+    """``august`` in O(N log N): ``august_many``'s kernel on a batch of one."""
+    x, y, applied = _prepare(x, y, depth, tie_policy)
+    p_x, p_y = _cell_means(x[None], y[None], depth)
+    return _assemble(p_x, p_y, depth, x.size, y.size, applied)
+
+
+def august_many(xs, ys, depth):
+    """Batched statistics for Monte-Carlo work.
+
+    ``xs`` and ``ys`` are (B, m) and (B, n) matrices; row b is one
+    replicate pair.  Returns ``(statistics, s_x, s_y)`` with shapes (B,),
+    (B, 2**depth - 1), (B, 2**depth - 1).  Rows are assumed tie-free
+    (continuous draws); no tie policy is applied.  Row b equals
+    ``august_plus`` on that pair exactly.
+    """
+    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
+    ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
+    if xs.shape[0] != ys.shape[0]:
+        raise ValueError("xs and ys must have the same number of replicates")
+    _check_samples(xs, ys, depth)
+    return _statistics(*_cell_means(xs, ys, depth))
 
 
 def cos_angle(result):

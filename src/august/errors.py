@@ -9,6 +9,10 @@ class SampleTooSmall(AugustError):
     """A sample is smaller than the operation's minimum size."""
 
 
+class NonFiniteInput(AugustError):
+    """A sample holds NaN or an infinite value."""
+
+
 class TiesPresent(AugustError):
     """Duplicate values in the combined sample under the 'error' tie policy."""
 

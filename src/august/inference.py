@@ -6,6 +6,12 @@ dataset with matching sizes.  Tables are simulated from standard uniforms
 by default (any continuous generator gives the same law), sorted, and can
 be persisted to a binary cache with a JSON sidecar.
 
+Null tables, ``estimate_sigma`` and ``power_simulation`` all draw their
+replicates from one generator, ``_seeds.replicate_blocks``: replicate i
+draws x and then y from its own stream ``(seed, domain, i)``, in blocks of
+2048 rows that ``august_many`` takes at once.  Every add-one p-value, here
+and in the permutation tests, comes from ``_seeds.add_one_p_value``.
+
 The asymptotic mode simulates the large-sample Gaussian limit of the
 concatenated symmetry vectors: the limiting covariance has no closed form
 here, so it is estimated from null simulations at finite N and the mode is
@@ -17,6 +23,7 @@ quadrature, which powers a-priori power analysis.
 import json
 import os
 import struct
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +58,6 @@ GENERATORS = {
 
 _FORMAT_VERSION = 1
 _MAGIC = b"AUGNULTB"
-_REPLICATE_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -109,19 +115,6 @@ class AlternativeSpec:
     label: str = ""
 
 
-def _simulate_batches(m, n, depth, reps, seed, domain, sampler):
-    """Yield august_many outputs over replicate chunks with per-replicate RNG."""
-    for start in range(0, reps, _REPLICATE_CHUNK):
-        stop = min(start + _REPLICATE_CHUNK, reps)
-        xs = np.empty((stop - start, m))
-        ys = np.empty((stop - start, n))
-        for i in range(start, stop):
-            rng = _seeds.replicate_rng(seed, domain, i)
-            xs[i - start] = sampler(rng, m)
-            ys[i - start] = sampler(rng, n)
-        yield august_many(xs, ys, depth)
-
-
 def build_null_table(m, n, depth, sims, seed, generator="uniform"):
     """Simulate ``sims`` null statistics and return them sorted.
 
@@ -136,9 +129,9 @@ def build_null_table(m, n, depth, sims, seed, generator="uniform"):
         raise ValueError("sims must be at least 100")
     sampler = GENERATORS[generator]
     stats = np.concatenate([
-        batch[0]
-        for batch in _simulate_batches(
-            m, n, depth, sims, seed, _seeds.NULL_TABLE, sampler
+        august_many(xs, ys, depth)[0]
+        for xs, ys in _seeds.replicate_blocks(
+            seed, _seeds.NULL_TABLE, sims, sampler, sampler, m, n
         )
     ])
     return NullTable(np.sort(stats), m, n, depth, sims, seed, generator)
@@ -147,15 +140,12 @@ def build_null_table(m, n, depth, sims, seed, generator="uniform"):
 def p_value(statistic, table):
     """Add-one Monte-Carlo p-value: (1 + #{t >= S}) / (sims + 1).
 
-    The add-one convention guarantees p > 0 and a valid test at any finite
-    table size.
+    ``statistic`` may be a number or an array of them.  The add-one
+    convention guarantees p > 0 and a valid test at any finite table size.
     """
     if table.stats.size == 0:
         raise ValueError("null table is empty")
-    at_or_above = table.sims - int(
-        np.searchsorted(table.stats, statistic, side="left")
-    )
-    return (1 + at_or_above) / (table.sims + 1)
+    return _seeds.add_one_p_value(table.stats, statistic)
 
 
 def estimate_sigma(m, n, depth, reps, seed):
@@ -167,11 +157,12 @@ def estimate_sigma(m, n, depth, reps, seed):
     if reps < 1000:
         raise ValueError("reps must be at least 1000")
     sampler = GENERATORS["uniform"]
-    rows = []
-    for _, s_x, s_y in _simulate_batches(
-        m, n, depth, reps, seed, _seeds.SIGMA, sampler
-    ):
-        rows.append(np.hstack([s_x, s_y]))
+    rows = [
+        np.hstack(august_many(xs, ys, depth)[1:])
+        for xs, ys in _seeds.replicate_blocks(
+            seed, _seeds.SIGMA, reps, sampler, sampler, m, n
+        )
+    ]
     scaled = np.sqrt(m + n) * np.vstack(rows)
     sigma = np.cov(scaled, rowvar=False)
     return AsymptoticConfig(
@@ -199,7 +190,7 @@ def asymptotic_p_value(statistic, m, n, cfg, draws=100_000, seed=0):
     z = rng.standard_normal((draws, cfg.sigma.shape[0])) @ factor.T
     half = cfg.sigma.shape[0] // 2
     sims = -(z[:, :half] * z[:, half:]).sum(axis=1) / (m + n)
-    return (1 + int(np.count_nonzero(sims >= statistic))) / (draws + 1)
+    return _seeds.add_one_p_value(np.sort(sims), statistic)
 
 
 def _cell_polynomials(depth):
@@ -318,19 +309,10 @@ def power_simulation(
     if table is None:
         table = build_null_table(m, n, depth, table_sims, seed)
     rejections = 0
-    for start in range(0, reps, _REPLICATE_CHUNK):
-        stop = min(start + _REPLICATE_CHUNK, reps)
-        xs = np.empty((stop - start, m))
-        ys = np.empty((stop - start, n))
-        for i in range(start, stop):
-            rng = _seeds.replicate_rng(seed, _seeds.POWER_TRIAL, i)
-            xs[i - start] = gen_x(rng, m)
-            ys[i - start] = gen_y(rng, n)
-        stats = august_many(xs, ys, depth)[0]
-        at_or_above = table.sims - np.searchsorted(
-            table.stats, stats, side="left"
-        )
-        pvals = (1 + at_or_above) / (table.sims + 1)
+    for xs, ys in _seeds.replicate_blocks(
+        seed, _seeds.POWER_TRIAL, reps, gen_x, gen_y, m, n
+    ):
+        pvals = p_value(august_many(xs, ys, depth)[0], table)
         rejections += int(np.count_nonzero(pvals <= alpha))
     return rejections / reps
 
@@ -341,56 +323,47 @@ def null_table_path(cache_dir, m, n, depth, sims, seed, generator_tag):
     return os.path.join(cache_dir, name)
 
 
+def _key(table):
+    return (table.m, table.n, table.depth, table.sims, table.seed,
+            table.generator_tag)
+
+
 def save_null_table(table, cache_dir):
     """Write the binary table plus its JSON sidecar; returns the path.
 
     Layout: magic, little-endian header (version, m, n, depth, sims, seed,
-    tag length), the tag bytes, then ``sims`` float64 statistics.  Writes
-    are atomic (temp file then rename).
+    tag length), the tag bytes, then ``sims`` float64 statistics.  Each
+    file is written to a fresh temporary file in ``cache_dir`` and renamed
+    into place, so concurrent writers of one key never share a partial file.
     """
-    path = null_table_path(
-        cache_dir, table.m, table.n, table.depth, table.sims, table.seed,
-        table.generator_tag,
-    )
+    path = null_table_path(cache_dir, *_key(table))
     tag = table.generator_tag.encode("ascii")
-    header = _MAGIC + struct.pack(
-        "<IQQIQQI",
-        _FORMAT_VERSION,
-        table.m,
-        table.n,
-        table.depth,
-        table.sims,
-        table.seed,
-        len(tag),
-    )
+    fields = {"format_version": _FORMAT_VERSION, "m": table.m, "n": table.n,
+              "depth": table.depth, "sims": table.sims, "seed": table.seed}
+    header = _MAGIC + struct.pack("<IQQIQQI", *fields.values(), len(tag))
     sidecar = json.dumps(
-        {
-            "format_version": _FORMAT_VERSION,
-            "m": table.m,
-            "n": table.n,
-            "depth": table.depth,
-            "sims": table.sims,
-            "seed": table.seed,
-            "generator_tag": table.generator_tag,
-        },
-        sort_keys=True,
-        indent=2,
+        dict(fields, generator_tag=table.generator_tag), sort_keys=True, indent=2
     )
     try:
         os.makedirs(cache_dir, exist_ok=True)
-        tmp = path + ".tmp"
-        with open(tmp, "wb") as fh:
-            fh.write(header)
-            fh.write(tag)
-            fh.write(table.stats.astype("<f8").tobytes())
-        os.replace(tmp, path)
-        tmp_json = path + ".json.tmp"
-        with open(tmp_json, "w", encoding="ascii") as fh:
-            fh.write(sidecar + "\n")
-        os.replace(tmp_json, path + ".json")
+        _write_atomic(path, header + tag + table.stats.astype("<f8").tobytes())
+        _write_atomic(path + ".json", (sidecar + "\n").encode("ascii"))
     except OSError as exc:
         raise IOFailure(f"could not write null table to {path}: {exc}") from exc
     return path
+
+
+def _write_atomic(path, blob):
+    """Write ``blob`` to a unique temporary file beside ``path``, then rename."""
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), prefix=".tmp-")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(blob)
+        os.chmod(tmp, 0o644)  # mkstemp makes it owner-only; others read caches
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
 
 
 def load_null_table(path):
@@ -419,10 +392,14 @@ def cached_null_table(m, n, depth, sims, seed, generator, cache_dir):
     """Load the table for a key if cached, else build and persist it.
 
     Returns ``(table, hit)`` where ``hit`` says whether the cache served it.
+    A cached file whose header names another key raises ``IOFailure``.
     """
     path = null_table_path(cache_dir, m, n, depth, sims, seed, generator)
     if os.path.exists(path):
-        return load_null_table(path), True
+        table = load_null_table(path)
+        if _key(table) != (m, n, depth, sims, seed, generator):
+            raise IOFailure(f"{path} holds the table for key {_key(table)}")
+        return table, True
     table = build_null_table(m, n, depth, sims, seed, generator)
     save_null_table(table, cache_dir)
     return table, False

@@ -199,8 +199,7 @@ def permutation_p_value(
     perm_stats = _batched_permutation_stats(
         pooled, x.shape[0], depth, permutations, seed, ridge
     )
-    at_or_above = int(np.count_nonzero(perm_stats >= observed))
-    return (1 + at_or_above) / (permutations + 1)
+    return _seeds.add_one_p_value(np.sort(perm_stats), observed)
 
 
 def multivariate_test(

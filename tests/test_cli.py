@@ -4,7 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from august import read_plot_data
+import august.cli
+from august import power_simulation, read_plot_data
+from august.families import get_family
 from august.cli import (
     EXIT_IO,
     EXIT_OK,
@@ -255,13 +257,53 @@ class TestCmdPower:
         out = str(workdir / "power.csv")
         code = main(["power", "--families", "null", "--m", "32", "--n", "32",
                      "--reps", "150", "--sims", "500", "--seed", "5",
-                     "--report", out])
+                     "--cache-dir", str(workdir / "cache"), "--report", out])
         assert code == EXIT_OK
         lines = open(out).read().strip().splitlines()
         assert lines[0] == "family,parameter,test,power"
         name, _, test, power = lines[1].split(",")
         assert name == "null" and test == "august"
         assert abs(float(power) - 0.05) <= 0.05
+
+    def test_null_table_is_built_once_per_command(self, workdir):
+        cache = workdir / "cache"
+        out = str(workdir / "power.csv")
+        code = main(["power", "--families", "normal-location,laplace-scale",
+                     "--params", "0.0,1.5", "--m", "24", "--n", "28",
+                     "--depth", "2", "--reps", "120", "--sims", "300",
+                     "--seed", "4", "--cache-dir", str(cache), "--report", out])
+        assert code == EXIT_OK
+        assert len([f for f in os.listdir(cache) if f.endswith(".nulltab")]) == 1
+        expected = ["family,parameter,test,power"]
+        for name in ("normal-location", "laplace-scale"):
+            family = get_family(name)
+            for param in (0.0, 1.5):
+                power = power_simulation(
+                    family.null_sampler, family.alternative(param), 24, 28,
+                    2, 0.05, 120, 4, table_sims=300,
+                )
+                expected.append(f"{name},{param},august,{power}")
+        assert open(out).read().splitlines() == expected
+
+    def test_nested_seeds_differ_between_adjacent_seeds(self, workdir, monkeypatch):
+        seen = []
+
+        class Outcome:
+            p_value = 1.0
+
+        def fake_test(name, x, y, permutations, seed):
+            seen[-1].add(seed)
+            return Outcome()
+
+        monkeypatch.setattr(august.cli, "baseline_permutation_test", fake_test)
+        for seed in ("6", "7"):
+            seen.append(set())
+            code = main(["power", "--families", "null", "--tests", "ks",
+                         "--m", "16", "--n", "16", "--reps", "200",
+                         "--seed", seed, "--report", str(workdir / "p.csv")])
+            assert code == EXIT_OK
+        assert len(seen[0]) == len(seen[1]) == 200
+        assert not seen[0] & seen[1]
 
     def test_bivariate_family_runs(self, workdir):
         out = str(workdir / "power.csv")

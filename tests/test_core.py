@@ -4,6 +4,7 @@ import pytest
 from august import (
     AugustResult,
     DegenerateVector,
+    NonFiniteInput,
     SampleTooSmall,
     TiePolicy,
     TiesPresent,
@@ -71,6 +72,17 @@ class TestAlgorithmEquivalence:
             assert np.abs(s_x[b] - single.s_x).max() <= 1e-12
             assert np.abs(s_y[b] - single.s_y).max() <= 1e-12
 
+    @pytest.mark.parametrize("size,depth", [(7, 2), (15, 3), (128, 3)])
+    def test_fast_path_is_a_batch_of_one_exactly(self, size, depth):
+        rng = np.random.default_rng(size)
+        for _ in range(200):
+            x, y = rng.random(size), rng.random(size)
+            single = august_plus(x, y, depth)
+            stats, s_x, s_y = august_many(x[None], y[None], depth)
+            assert single.statistic == stats[0]
+            assert np.array_equal(single.s_x, s_x[0])
+            assert np.array_equal(single.s_y, s_y[0])
+
 
 class TestInvariances:
     def test_swap_symmetry(self):
@@ -111,6 +123,20 @@ class TestPreconditions:
     def test_sample_too_small(self):
         with pytest.raises(SampleTooSmall):
             august_plus(np.arange(6.0), np.arange(100.0), 2)  # r = 7
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("which", ["x", "y"])
+    @pytest.mark.parametrize("compute", [
+        august,
+        august_plus,
+        lambda x, y, depth: august_many(x[None], y[None], depth),
+    ], ids=["august", "august_plus", "august_many"])
+    def test_non_finite_values_are_rejected(self, compute, which, bad):
+        rng = np.random.default_rng(3)
+        samples = {"x": rng.random(30), "y": rng.random(35)}
+        samples[which][4] = bad
+        with pytest.raises(NonFiniteInput):
+            compute(samples["x"], samples["y"], 2)
 
     def test_batch_shape_mismatch(self):
         with pytest.raises(ValueError):

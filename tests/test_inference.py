@@ -1,4 +1,5 @@
 import os
+import threading
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from august import (
     estimate_sigma,
     ks_statistic,
     load_null_table,
+    null_table_path,
     p_value,
     power_simulation,
     save_null_table,
@@ -80,6 +82,11 @@ class TestPValue:
         table = NullTable(np.array([0.0, 1.0, 1.0, 2.0]), 20, 20, 1, 4, 0, "u")
         assert p_value(1.0, table) == (1 + 3) / 5
 
+    def test_array_of_statistics(self):
+        stats = np.array([1e9, -1e9, 50.0])
+        expected = [p_value(s, self.table) for s in stats]
+        assert np.array_equal(p_value(stats, self.table), expected)
+
 
 class TestCachePersistence:
     def test_round_trip(self, tmp_path):
@@ -114,6 +121,37 @@ class TestCachePersistence:
         second, hit_second = cached_null_table(20, 20, 1, 130, 7, "uniform", str(tmp_path))
         assert not hit_first and hit_second
         assert second.sims == 130
+
+    def test_renamed_file_raises(self, tmp_path):
+        table = build_null_table(20, 20, 1, 130, seed=7)
+        path = save_null_table(table, str(tmp_path))
+        os.rename(path, str(tmp_path / os.path.basename(path).replace("_s7_", "_s8_")))
+        with pytest.raises(IOFailure):
+            cached_null_table(20, 20, 1, 130, 8, "uniform", str(tmp_path))
+
+    def test_concurrent_saves_of_one_key(self, tmp_path):
+        table = build_null_table(20, 20, 1, 2000, seed=3)
+        errors = []
+
+        def writer():
+            try:
+                for _ in range(30):
+                    save_null_table(table, str(tmp_path))
+            except IOFailure as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=writer) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        path = null_table_path(str(tmp_path), 20, 20, 1, 2000, 3, "uniform")
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            [os.path.basename(path), os.path.basename(path) + ".json"]
+        )
+        assert np.array_equal(load_null_table(path).stats, table.stats)
 
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(IOFailure):
