@@ -1,8 +1,8 @@
 """Runtime scaling: the sort-based algorithm is O(N log N).
 
 The reference implementation recounts ranks point by point (O(m*n)); the
-fast one sorts once and reads every count from the sort order, with the
-hypergeometric weights shared through a per-count lookup table.  Both
+fast one sorts once and reads every count from the sort order, and
+evaluates the hypergeometric weights once per count that occurs.  Both
 produce identical results, so the only reason to ever run the reference
 is to check the fast one.
 """

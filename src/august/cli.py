@@ -394,20 +394,38 @@ def _nested_test(test, args):
     ).p_value
 
 
+def _family_tests(family, tests):
+    """The tests ``power`` runs on ``family``.
+
+    A bivariate family runs ``august-multi`` once, for ``august`` (the
+    default) or ``august-multi``; a test with no bivariate form is refused.
+    """
+    if family.kind == "univariate":
+        return tests
+    for test in tests:
+        if test not in ("august", "august-multi"):
+            raise ValueError(
+                f"test {test!r} has no bivariate form; bivariate family "
+                f"{family.name!r} runs august-multi only"
+            )
+    return ["august-multi"]
+
+
 def cmd_power(args):
     names = args.families.split(",") if args.families else sorted(UNIVARIATE_FAMILIES)
     tests = args.tests.split(",")
+    families = [get_family(name.strip()) for name in names]
+    plans = [(family, _family_tests(family, tests)) for family in families]
     table = None
     rows = []
-    for name in names:
-        family = get_family(name.strip())
+    for family, family_tests in plans:
         grid = (
             [float(p) for p in args.params.split(",")]
             if args.params else list(family.default_grid)
         )
         for param in grid:
             gen_y = family.alternative(param)
-            for test in tests if family.kind == "univariate" else ["august-multi"]:
+            for test in family_tests:
                 if test == "august":
                     if table is None:  # one null table serves the whole grid
                         table, _ = cached_null_table(
@@ -523,7 +541,8 @@ def build_parser():
                         f"and {sorted(BIVARIATE_FAMILIES)}")
     p.add_argument("--params", default=None, help="override parameter grid")
     p.add_argument("--tests", default="august",
-                   help="comma list of august,ks,energy (univariate)")
+                   help="comma list of august,ks,energy (univariate); "
+                        "bivariate families run august-multi")
     p.add_argument("--m", type=int, default=128)
     p.add_argument("--n", type=int, default=128)
     p.add_argument("--reps", type=int, default=200)

@@ -6,12 +6,14 @@ statistic is ``S = -(s_x . s_y)`` where ``s_x`` and ``s_y`` are the
 Hadamard symmetry statistics of the averaged cell probabilities.
 
 The fast kernel gets the identical result in ``O(N log N)`` by sorting:
-the count of the other sample at or below each point is a rank, the
-per-count cell probabilities form a lookup table, and averaging is a
-count-weighted matrix product.  ``august_many`` runs it on a batch of
-replicate pairs and ``august_plus`` on a batch of one, so an observed
-statistic and its null draws come from the same arithmetic.  Oracle and
-kernel must agree to 1e-12 in every field.
+the count of the other sample at or below each point is a rank, the points
+are tallied per count, and averaging is the tally times each count's cell
+probabilities.  Those are evaluated in every call, for the counts that
+occur (for a batch, for every count), and no table is kept between calls.
+``august_many`` runs the kernel on a batch of replicate pairs and
+``august_plus`` on a batch of one, so an observed statistic and its null
+draws come from the same arithmetic.  Oracle and kernel must agree to
+1e-12 in every field.
 
 Both samples' values enter only through ranks, so the statistic is
 invariant under joint strictly increasing transforms and is exactly
@@ -19,7 +21,6 @@ distribution-free under the null.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -187,14 +188,17 @@ def august(x, y, depth, tie_policy=None):
     return _assemble(p_x[None], p_y[None], depth, m, n, applied)
 
 
-@lru_cache(maxsize=8)
-def _cell_prob_table(n, depth):
-    """(n + 1, 2**depth) lookup: row K is the cell vector for count K."""
-    table = cell_probabilities_for_counts(
-        np.arange(n + 1), n, SubsampleConfig(depth)
-    )
-    table.setflags(write=False)
-    return table
+def _summed_cells(tallies, size, cfg):
+    """Tallies of counts against a sample of ``size``, times the cell rows.
+
+    A single pair gets rows only for the counts it has.  In a batch nearly
+    every count occurs in some row, so the tallies are used as they are.
+    """
+    if len(tallies) == 1:
+        occurring = np.flatnonzero(tallies[0])
+        rows = cell_probabilities_for_counts(occurring, size, cfg)
+        return tallies[:, occurring] @ rows
+    return tallies @ cell_probabilities_for_counts(np.arange(size + 1), size, cfg)
 
 
 def _cell_means(xs, ys, depth):
@@ -202,15 +206,14 @@ def _cell_means(xs, ys, depth):
 
     One argsort of each merged row gives every point's count of the other
     sample at or below it; the counts are tallied per row, and a tally
-    times the cell table is the row's summed cell vectors.  Rows go through
-    in chunks of about 4e6 points.
+    times the cell rows of its counts is the row's summed cell vectors.
+    Rows go through in chunks of about 4e6 points.
     """
     reps, m = xs.shape
     n = ys.shape[1]
-    table_x = _cell_prob_table(n, depth)
-    table_y = _cell_prob_table(m, depth)
-    p_x = np.empty((reps, 1 << depth))
-    p_y = np.empty((reps, 1 << depth))
+    cfg = SubsampleConfig(depth)
+    p_x = np.empty((reps, cfg.cells))
+    p_y = np.empty((reps, cfg.cells))
     chunk = max(1, 4_000_000 // (m + n))
     for start in range(0, reps, chunk):
         stop = min(start + chunk, reps)
@@ -229,8 +232,8 @@ def _cell_means(xs, ys, depth):
         tallies_y = np.bincount(
             (offsets * (m + 1) + counts_y).ravel(), minlength=rows * (m + 1)
         ).reshape(rows, m + 1)
-        p_x[start:stop] = tallies_x @ table_x / m
-        p_y[start:stop] = tallies_y @ table_y / n
+        p_x[start:stop] = _summed_cells(tallies_x, n, cfg) / m
+        p_y[start:stop] = _summed_cells(tallies_y, m, cfg) / n
     return p_x, p_y
 
 

@@ -7,6 +7,16 @@ value at ``x`` inside the ``k``-th dyadic cell of the unit interval.  With
 ``r = 2**q - 1`` every cell covers the same number of attainable ECDF
 values, and the probabilities are plain hypergeometric ratios.
 
+``cell_probabilities_for_counts`` evaluates them for many counts at once
+from the product form of the hypergeometric pmf, a product of ratios of at
+most about one with no logs or exponentials, so every entry is accurate to
+a few ulps at any sample size.  Each row is divided by its own sum, which
+by Vandermonde's identity is the exact normaliser.  Counts go through in
+blocks of at most 2048, so its temporaries are bounded by one block; only
+the returned rows grow with the number of counts.  ``log_binomial`` and
+``augmented_cdf`` keep the log-factorial route as an independent
+per-point check.
+
 Two independent oracles live here as well: a literal resampling bootstrap
 and an exhaustive average over all size-``r`` subsamples.  Both must agree
 with the closed form and are used heavily in the test suite.
@@ -32,6 +42,9 @@ __all__ = [
 ]
 
 _SUM_TOL = 1e-12
+
+# Counts per block of ``cell_probabilities_for_counts``.
+_BLOCK = 2048
 
 # Grow-only log-factorial table; replaced wholesale, never mutated in place,
 # so concurrent readers always see a consistent array.
@@ -127,25 +140,58 @@ def cell_probabilities_for_counts(counts, n, cfg):
     ``augmented_cdf`` for any point with count ``counts[i]`` against a
     reference sample of size ``n``.  Vectorized workhorse shared by the
     test-statistic algorithms.
+
+    Entries use the product form of the hypergeometric pmf, with no logs::
+
+        P(j | K) = C(r, j) * prod_{i<j} (K - i) / (n - i)
+                           * prod_{i<r-j} (n - K - i) / (n - r + 1 + i)
+
+    Every factor is a ratio of at most about one, so each entry is good to
+    a few ulps at any ``n``.  Each row is divided by its own sum, which is
+    the exact normaliser by Vandermonde's identity and keeps the rows of
+    ``K = 0`` and ``K = n`` exactly one-hot.  Counts go through in blocks
+    of at most ``_BLOCK``, laid out j-major so each cumulative-product step
+    multiplies contiguous rows; temporaries are bounded by one block.
     """
     if n < cfg.r:
         raise SampleTooSmall(f"reference sample of size {n} < r = {cfg.r}")
     counts = np.asarray(counts, dtype=np.int64)
-    lf = _log_factorial_table(n)
-    r = cfg.r
-    log_denom = lf[n] - lf[r] - lf[n - r]
-    j = np.arange(r + 1)
-    below = counts[:, None]
-    above = n - below
-    valid = (j <= below) & (r - j <= above)
-    ja = np.where(j <= below, j, 0)
-    jb = np.where(r - j <= above, r - j, 0)
-    log_num = (
-        lf[below] - lf[ja] - lf[below - ja]
-        + lf[above] - lf[jb] - lf[above - jb]
-    )
-    terms = np.where(valid, np.exp(log_num - log_denom), 0.0)
-    return terms.reshape(counts.size, cfg.cells, cfg.counts_per_cell).sum(axis=2)
+    r, per_cell = cfg.r, cfg.counts_per_cell
+    i = np.arange(r, dtype=np.float64)[:, None]
+    below_denom, above_denom = n - i, (n - r + 1) + i
+    weights = np.array([[math.comb(r, j)] for j in range(r + 1)], dtype=np.float64)
+    out = np.empty((counts.size, cfg.cells))
+    width = max(1, min(_BLOCK, counts.size))
+    # Column c of a block is one count K: below[j] = prod_{i<j} (K - i) / (n - i)
+    # and above[t] = prod_{i<t} (n - K - i) / (n - r + 1 + i).
+    below = np.empty((r + 1, width))
+    above = np.empty((r + 1, width))
+    cells = np.empty((cfg.cells, width))
+    for start in range(0, counts.size, width):
+        k = counts[start:start + width].astype(np.float64)
+        lo, hi, cell = below[:, :k.size], above[:, :k.size], cells[:, :k.size]
+        lo[0] = hi[0] = 1.0
+        np.subtract(k, i, out=lo[1:])
+        np.subtract(n - k, i, out=hi[1:])
+        lo[1:] /= below_denom
+        hi[1:] /= above_denom
+        for j in range(2, r + 1):
+            lo[j] *= lo[j - 1]
+            hi[j] *= hi[j - 1]
+        # Past i = K a factor turns negative, but the product is already an
+        # exact zero, so only its sign can be wrong; abs() below clears it.
+        lo *= hi[::-1]
+        lo *= weights
+        # Sums run in a fixed order, so a row does not depend on its block.
+        np.copyto(cell, lo[::per_cell])
+        for offset in range(1, per_cell):
+            cell += lo[offset::per_cell]
+        total = cell[0].copy()
+        for row in cell[1:]:
+            total += row
+        cell /= total
+        np.abs(cell.T, out=out[start:start + k.size])
+    return out
 
 
 def augmented_cdf(x, y, cfg):

@@ -317,6 +317,19 @@ class TestCmdPower:
         assert family == "mvn-location" and test == "august-multi"
         assert float(power) > 0.8  # strong shift
 
+    def test_univariate_test_on_bivariate_family_is_refused(self, workdir, capsys):
+        out = workdir / "power.csv"
+        for tests in ("ks", "august,energy"):
+            code = main(["power", "--families", "null,mvn-location",
+                         "--tests", tests, "--params", "0.5",
+                         "--cache-dir", str(workdir / "cache"),
+                         "--report", str(out)])
+            assert code == EXIT_PRECONDITION
+            message = json.loads(capsys.readouterr().err)["error"]["message"]
+            assert tests.split(",")[-1] in message and "mvn-location" in message
+        # Refused before any simulation: no table, no report.
+        assert not out.exists() and not (workdir / "cache").exists()
+
     def test_unknown_family_is_precondition_error(self, workdir):
         assert main(["power", "--families", "nope"]) == EXIT_PRECONDITION
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,33 @@ class TestAlgorithmEquivalence:
             assert single.statistic == stats[0]
             assert np.array_equal(single.s_x, s_x[0])
             assert np.array_equal(single.s_y, s_y[0])
+
+
+class TestLargeSamples:
+    def test_large_uneven_sample_sums_to_one(self):
+        # Log-factorial cell rows missed a sum of one by 3.5e-9 here, which
+        # failed the 1e-9 check inside the kernel.
+        rng = np.random.default_rng(20210929)
+        x, y = rng.random(480_127), rng.random(320_259)
+        single = august_plus(x, y, 3)
+        stats, s_x, s_y = august_many(x[None], y[None], 3)
+        assert single.statistic == stats[0]
+        assert np.array_equal(single.s_x, s_x[0])
+        assert np.array_equal(single.s_y, s_y[0])
+
+    def test_no_table_outlives_a_call(self):
+        rng = np.random.default_rng(3)
+        x, y = rng.random(100_000), rng.random(100_000)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            result = august_plus(x, y, 6)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.p_x.shape == (64,)
+        assert held - before < 2**20
+        assert peak - before < 100 * 2**20
 
 
 class TestInvariances:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from august import (
     exhaustive_subsample_cdf,
     log_binomial,
 )
+from august.hypergeom import cell_probabilities_for_counts
 
 
 class TestLogBinomial:
@@ -214,3 +216,59 @@ class TestBootstrapOracle:
             errors.append(np.mean(errs))
         slope = np.polyfit(np.log(sizes), np.log(errors), 1)[0]
         assert -0.65 <= slope <= -0.35
+
+
+class TestCellProbabilitiesForCounts:
+    def test_matches_augmented_cdf_for_every_count(self):
+        configs = [SubsampleConfig(depth) for depth in (1, 2, 3, 4)]
+        configs.append(SubsampleConfig(2, q=5))
+        for cfg in configs:
+            for n in sorted({cfg.r, cfg.r + 1, 40, 60}):
+                y = np.arange(n, dtype=np.float64)
+                rows = cell_probabilities_for_counts(np.arange(n + 1), n, cfg)
+                for count in range(n + 1):
+                    # count - 0.5 has exactly `count` points of y at or below it
+                    expected = augmented_cdf(count - 0.5, y, cfg).probs
+                    assert np.abs(rows[count] - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [200, 109_200, 480_127])
+    @pytest.mark.parametrize("depth", [3, 6])
+    def test_matches_exact_rational_arithmetic(self, n, depth):
+        cfg = SubsampleConfig(depth)
+        r, width = cfg.r, cfg.counts_per_cell
+        counts = np.unique(np.linspace(0, n, 50).round().astype(np.int64))
+        rows = cell_probabilities_for_counts(counts, n, cfg)
+        assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-13
+        total = math.comb(n, r)
+        for row, count in zip(rows, counts.tolist()):
+            for cell in range(cfg.cells):
+                exact = float(sum(
+                    Fraction(math.comb(count, j) * math.comb(n - count, r - j), total)
+                    for j in range(cell * width, (cell + 1) * width)
+                ))
+                assert abs(row[cell] - exact) <= 1e-13 * exact
+
+    def test_extreme_counts_are_exactly_one_hot(self):
+        for depth in (1, 3, 6):
+            cfg = SubsampleConfig(depth)
+            rows = cell_probabilities_for_counts(np.array([0, 5000]), 5000, cfg)
+            expected = np.zeros((2, cfg.cells))
+            expected[0, 0] = expected[1, -1] = 1.0
+            assert np.array_equal(rows, expected)
+
+    def test_blocks_join_seamlessly(self):
+        # More counts than one block, in an order that is not sorted.
+        cfg = SubsampleConfig(3)
+        counts = np.random.default_rng(5).integers(0, 10_001, size=5000)
+        rows = cell_probabilities_for_counts(counts, 10_000, cfg)
+        distinct, first = np.unique(counts, return_index=True)
+        single = np.vstack(
+            [cell_probabilities_for_counts([c], 10_000, cfg) for c in distinct]
+        )
+        assert np.array_equal(rows[first], single)
+        assert rows.min() >= 0.0 and not np.signbit(rows).any()
+        assert cell_probabilities_for_counts([], 10_000, cfg).shape == (0, 8)
+
+    def test_reference_too_small(self):
+        with pytest.raises(SampleTooSmall):
+            cell_probabilities_for_counts([0, 1], 6, SubsampleConfig(2))
