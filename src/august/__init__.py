@@ -48,14 +48,7 @@ from .errors import (
     TooManyCombinations,
 )
 from .hadamard import SymmetryVector, fwht, sylvester, symmetry_statistics
-from .hypergeom import (
-    CellProbabilities,
-    SubsampleConfig,
-    augmented_cdf,
-    bootstrap_augmented_cdf,
-    exhaustive_subsample_cdf,
-    log_binomial,
-)
+from .hypergeom import CellProbabilities, SubsampleConfig, augmented_cdf
 from .inference import (
     AlternativeSpec,
     AsymptoticConfig,
@@ -96,8 +89,7 @@ __all__ = [
     "AugustResult", "TiePolicy", "august", "august_plus", "august_many",
     "cos_angle", "minimum_sample_size",
     # hypergeometric machinery
-    "CellProbabilities", "SubsampleConfig", "log_binomial", "augmented_cdf",
-    "bootstrap_augmented_cdf", "exhaustive_subsample_cdf",
+    "CellProbabilities", "SubsampleConfig", "augmented_cdf",
     # Hadamard machinery
     "SymmetryVector", "sylvester", "fwht", "symmetry_statistics",
     # inference

@@ -14,7 +14,7 @@ NULL_TABLE = 0
 POWER_TRIAL = 1
 SIGMA = 2
 PERMUTATION = 3
-BOOTSTRAP = 4
+BOOTSTRAP = 4  # the resampling oracle in the tests
 ASYMPTOTIC = 5
 TIE_JITTER = 6
 BASELINE = 7

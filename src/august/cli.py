@@ -1,10 +1,11 @@
-"""Command-line surface: test runs, null-table management, power and bench.
+"""Command-line surface: test runs, interpretation, null tables and power.
 
 Data files are headerless CSV.  Univariate data is either one two-column
 file (value, group label) or two one-column files; multivariate data puts
 the label in the final column (or uses two files of equal-width rows).
-All reports are JSON and embed the configuration; power and bench emit CSV
-with documented headers.
+All reports are JSON and embed the configuration; power emits CSV with a
+documented header.  Timing is left to ``benchmark/``, which measures the
+package cold, one process per workload.
 
 Exit codes: 0 success, 2 usage, 3 parse failure, 4 precondition violation,
 5 I/O failure.  Failures print a machine-readable JSON error object to
@@ -17,13 +18,12 @@ import io
 import json
 import os
 import sys
-import time
 
 import numpy as np
 
 from . import _seeds
-from .baselines import baseline_permutation_test, ks_statistic
-from .core import TiePolicy, august, august_plus
+from .baselines import baseline_permutation_test
+from .core import TiePolicy, august_plus
 from .errors import (
     AugustError,
     IOFailure,
@@ -445,39 +445,6 @@ def cmd_power(args):
     return EXIT_OK
 
 
-def _time_call(fn, repeats):
-    best = np.inf
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def cmd_bench(args):
-    sizes = [int(s) for s in args.sizes.split(",")]
-    tests = args.tests.split(",")
-    rows = []
-    for total in sizes:
-        m = total // 2
-        n = total - m
-        rng = _seeds.replicate_rng(args.seed, _seeds.POWER_TRIAL, total)
-        x = rng.random(m)
-        y = rng.random(n)
-        for test in tests:
-            if test == "august_plus":
-                fn = lambda: august_plus(x, y, args.depth)
-            elif test == "august":
-                fn = lambda: august(x, y, args.depth)
-            elif test == "ks":
-                fn = lambda: ks_statistic(x, y)
-            else:
-                raise ValueError(f"unknown bench test {test!r}")
-            rows.append([test, total, m, n, _time_call(fn, args.repeats)])
-    _write_csv(["test", "N", "m", "n", "seconds"], rows, args.report)
-    return EXIT_OK
-
-
 def _add_common(parser, depth_default):
     parser.add_argument("--depth", type=int, default=depth_default,
                         help="binary resolution d")
@@ -551,15 +518,6 @@ def build_parser():
     p.add_argument("--permutations", type=int, default=199)
     p.add_argument("--multi-depth", type=int, default=2)
     p.set_defaults(func=cmd_power)
-
-    p = sub.add_parser("bench", help="wall-time benchmarks over sample sizes")
-    _add_common(p, depth_default=3)
-    p.add_argument("--sizes", default="10000,100000,1000000",
-                   help="comma list of total sample sizes N")
-    p.add_argument("--tests", default="august_plus,ks",
-                   help="comma list of august_plus,august,ks")
-    p.add_argument("--repeats", type=int, default=3)
-    p.set_defaults(func=cmd_bench)
 
     return parser
 

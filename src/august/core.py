@@ -43,8 +43,11 @@ _EQ_TOL = 1e-12
 
 
 def minimum_sample_size(depth):
-    """Smallest admissible sample size per side: the subsample size r."""
-    return (1 << (depth + 1)) - 1
+    """Smallest admissible sample size per side: the subsample size r.
+
+    Raises ``DepthOutOfRange`` for a depth ``SubsampleConfig`` refuses.
+    """
+    return SubsampleConfig(depth).r
 
 
 @dataclass(frozen=True)
@@ -91,14 +94,15 @@ class AugustResult:
 def _resolve_ties(x, y, policy):
     """Return tie-free copies of the samples plus what was applied."""
     combined = np.concatenate([x, y])
-    if np.unique(combined).size == combined.size:
+    # A zero gap between neighbours in sorted order is a tie.
+    diffs = np.diff(np.sort(combined))
+    if diffs.all():
         return x, y, "none"
     if policy.mode == "error":
         raise TiesPresent(
             "combined sample contains duplicate values; pass a jitter tie "
             "policy to break them"
         )
-    diffs = np.diff(np.sort(combined))
     gaps = diffs[diffs > 0]
     if gaps.size == 0 and policy.jitter_scale is None:
         raise TiesPresent(
@@ -114,7 +118,7 @@ def _resolve_ties(x, y, policy):
     rng = _seeds.replicate_rng(policy.seed, _seeds.TIE_JITTER)
     noise = rng.uniform(0.0, scale, combined.size)
     jittered = combined + noise
-    if np.unique(jittered).size != jittered.size:
+    if not np.diff(np.sort(jittered)).all():
         raise TiesPresent("jitter failed to separate duplicate values")
     return jittered[: x.size], jittered[x.size:], "jitter"
 

@@ -182,10 +182,8 @@ def _batched_permutation_stats(pooled, m, depth, permutations, seed, ridge):
     return out
 
 
-def permutation_p_value(
-    x, y, depth=2, permutations=999, seed=0, tie_policy=None, ridge=0.0
-):
-    """Add-one permutation p-value for the multivariate statistic."""
+def _permutation_test(x, y, depth, permutations, seed, tie_policy, ridge):
+    """Both branches and the add-one permutation p-value of their max."""
     if permutations < 100:
         raise ValueError("permutations must be at least 100")
     x = _as_matrix(x)
@@ -194,20 +192,28 @@ def permutation_p_value(
         raise DimensionMismatch(
             f"samples have dimensions {x.shape[1]} and {y.shape[1]}"
         )
-    observed = multivariate_statistic(x, y, depth, tie_policy, ridge)
-    pooled = np.vstack([x, y])
+    branch_x, branch_y = _branch_results(x, y, depth, tie_policy, ridge)
+    observed = max(branch_x.statistic, branch_y.statistic)
     perm_stats = _batched_permutation_stats(
-        pooled, x.shape[0], depth, permutations, seed, ridge
+        np.vstack([x, y]), x.shape[0], depth, permutations, seed, ridge
     )
-    return _seeds.add_one_p_value(np.sort(perm_stats), observed)
+    return branch_x, branch_y, _seeds.add_one_p_value(np.sort(perm_stats), observed)
+
+
+def permutation_p_value(
+    x, y, depth=2, permutations=999, seed=0, tie_policy=None, ridge=0.0
+):
+    """Add-one permutation p-value for the multivariate statistic."""
+    return _permutation_test(
+        x, y, depth, permutations, seed, tie_policy, ridge
+    )[2]
 
 
 def multivariate_test(
     x, y, depth=2, permutations=999, seed=0, tie_policy=None, ridge=0.0
 ):
     """Full multivariate test: both branches plus a permutation p-value."""
-    branch_x, branch_y = _branch_results(x, y, depth, tie_policy, ridge)
-    pval = permutation_p_value(
+    branch_x, branch_y, pval = _permutation_test(
         x, y, depth, permutations, seed, tie_policy, ridge
     )
     return MultiResult(

@@ -102,6 +102,16 @@ class TestCmdTest:
         write_labeled(data, [1.0, 2.0], [3.0, 4.0])
         assert main(["test", data, "--depth", "3"]) == EXIT_PRECONDITION
 
+    def test_unsupported_depth_is_precondition_error(self, workdir, capsys):
+        rng = np.random.default_rng(10)
+        data = str(workdir / "deep.csv")
+        write_labeled(data, rng.random(2100), rng.random(2100))
+        code = main(["test", data, "--depth", "10",
+                     "--cache-dir", str(workdir / "cache")])
+        assert code == EXIT_PRECONDITION
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "DepthOutOfRange"
+
     def test_jitter_mode_accepts_tied_data(self, workdir):
         data = str(workdir / "tied.csv")
         write_labeled(data, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0],
@@ -334,38 +344,13 @@ class TestCmdPower:
         assert main(["power", "--families", "nope"]) == EXIT_PRECONDITION
 
 
-class TestCmdBench:
-    def test_emits_timings(self, workdir):
-        out = str(workdir / "bench.csv")
-        code = main(["bench", "--sizes", "200,400", "--tests",
-                     "august_plus,august,ks", "--repeats", "2",
-                     "--report", out])
-        assert code == EXIT_OK
-        lines = open(out).read().strip().splitlines()
-        assert lines[0] == "test,N,m,n,seconds"
-        assert len(lines) == 7
-        for line in lines[1:]:
-            fields = line.split(",")
-            assert float(fields[4]) >= 0.0
-
-    def test_reference_algorithm_scales_quadratically(self, workdir):
-        out = str(workdir / "bench.csv")
-        code = main(["bench", "--sizes", "4000,16000,64000", "--tests",
-                     "august", "--repeats", "2", "--report", out])
-        assert code == EXIT_OK
-        rows = [line.split(",") for line in open(out).read().strip().splitlines()[1:]]
-        sizes = np.array([float(r[1]) for r in rows])
-        seconds = np.array([float(r[4]) for r in rows])
-        slope = np.polyfit(np.log(sizes), np.log(seconds), 1)[0]
-        assert 1.5 <= slope <= 2.5
-
-
 class TestExitCodes:
     def test_usage_error(self):
         assert main(["test"]) == EXIT_USAGE  # missing data argument
 
     def test_unknown_subcommand(self):
         assert main(["frobnicate"]) == EXIT_USAGE
+        assert main(["bench"]) == EXIT_USAGE  # timing lives in benchmark/
 
     def test_missing_file_is_io_error(self, workdir, capsys):
         assert main(["test", str(workdir / "absent.csv")]) == EXIT_IO

@@ -1,11 +1,14 @@
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from august import _seeds
 from august import (
     AugustResult,
     DegenerateVector,
+    DepthOutOfRange,
     NonFiniteInput,
     SampleTooSmall,
     TiePolicy,
@@ -13,6 +16,7 @@ from august import (
     august,
     august_many,
     august_plus,
+    build_null_table,
     cos_angle,
     minimum_sample_size,
 )
@@ -113,6 +117,25 @@ class TestLargeSamples:
         assert peak - before < 100 * 2**20
 
 
+class TestRuntime:
+    def test_reference_algorithm_scales_quadratically(self):
+        # Largest first: right after a large call elsewhere in the process,
+        # the first calls at N = 4000 can run twice as slow.
+        sizes = (64000, 16000, 4000)
+        seconds = []
+        for total in sizes:
+            rng = _seeds.replicate_rng(0, _seeds.POWER_TRIAL, total)
+            x, y = rng.random(total // 2), rng.random(total - total // 2)
+            best = np.inf
+            for _ in range(2):
+                start = time.perf_counter()
+                august(x, y, 3)
+                best = min(best, time.perf_counter() - start)
+            seconds.append(best)
+        slope = np.polyfit(np.log(sizes), np.log(seconds), 1)[0]
+        assert 1.5 <= slope <= 2.5
+
+
 class TestInvariances:
     def test_swap_symmetry(self):
         rng = np.random.default_rng(5)
@@ -152,6 +175,17 @@ class TestPreconditions:
     def test_sample_too_small(self):
         with pytest.raises(SampleTooSmall):
             august_plus(np.arange(6.0), np.arange(100.0), 2)  # r = 7
+
+    @pytest.mark.parametrize("compute", [
+        august_plus,
+        lambda x, y, depth: august_many(x[None], y[None], depth),
+        lambda x, y, depth: build_null_table(x.size, y.size, depth, 100, 0),
+    ], ids=["august_plus", "august_many", "build_null_table"])
+    def test_unsupported_depth_is_refused(self, compute):
+        # Depth 10 needs r = 2047, whose binomial weights overflow a float.
+        x, y = np.random.default_rng(10).random((2, 2100))
+        with pytest.raises(DepthOutOfRange):
+            compute(x, y, 10)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("which", ["x", "y"])

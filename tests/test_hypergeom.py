@@ -6,15 +6,33 @@ import pytest
 
 from august import (
     CellProbabilities,
+    DepthOutOfRange,
     SampleTooSmall,
     SubsampleConfig,
     TooManyCombinations,
     augmented_cdf,
-    bootstrap_augmented_cdf,
-    exhaustive_subsample_cdf,
-    log_binomial,
 )
 from august.hypergeom import cell_probabilities_for_counts
+from oracles import (
+    bootstrap_augmented_cdf,
+    exhaustive_subsample_cdf,
+    log_augmented_cdf,
+    log_binomial,
+)
+
+
+def exact_cells(count, n, cfg):
+    """Cell probabilities for ``count`` of ``n``, in exact rational arithmetic."""
+    width = cfg.counts_per_cell
+    terms = [
+        math.comb(count, j) * math.comb(n - count, cfg.r - j)
+        for j in range(cfg.r + 1)
+    ]
+    total = math.comb(n, cfg.r)
+    return [
+        float(Fraction(sum(terms[cell * width:(cell + 1) * width]), total))
+        for cell in range(cfg.cells)
+    ]
 
 
 class TestLogBinomial:
@@ -65,6 +83,15 @@ class TestSubsampleConfig:
     def test_bad_depth_rejected(self):
         with pytest.raises(ValueError):
             SubsampleConfig(0)
+
+    def test_subsample_size_is_capped(self):
+        # C(r, j) must fit a float: r = 2**q - 1 <= 1023.
+        assert SubsampleConfig(9).r == 1023
+        assert SubsampleConfig(5, q=10).r == 1023
+        with pytest.raises(DepthOutOfRange):
+            SubsampleConfig(9, q=11)
+        with pytest.raises(DepthOutOfRange):
+            SubsampleConfig(10)
 
 
 class TestCellProbabilities:
@@ -135,6 +162,19 @@ class TestAugmentedCdf:
         plain = augmented_cdf(x, y, cfg).probs
         mapped = augmented_cdf(np.exp(x), np.exp(y), cfg).probs
         assert np.array_equal(plain, mapped)
+
+    @pytest.mark.parametrize("n", [60, 1000, 100_000])
+    def test_matches_exact_rational_arithmetic_at_every_depth(self, n):
+        # Absolute error only: from depth 7 tail cells underflow to zero.
+        y = np.arange(n, dtype=np.float64)
+        for depth in range(1, 10):
+            cfg = SubsampleConfig(depth)
+            if n < cfg.r:
+                continue
+            for count in (5, n // 4, n // 2, n - n // 4, n - 5):
+                probs = augmented_cdf(count - 0.5, y, cfg).probs
+                expected = exact_cells(count, n, cfg)
+                assert np.abs(probs - expected).max() <= 1e-13, (depth, count)
 
 
 class TestExhaustiveOracle:
@@ -220,6 +260,7 @@ class TestBootstrapOracle:
 
 class TestCellProbabilitiesForCounts:
     def test_matches_augmented_cdf_for_every_count(self):
+        # Reference: the log-factorial route, exact enough at n <= 60.
         configs = [SubsampleConfig(depth) for depth in (1, 2, 3, 4)]
         configs.append(SubsampleConfig(2, q=5))
         for cfg in configs:
@@ -228,25 +269,19 @@ class TestCellProbabilitiesForCounts:
                 rows = cell_probabilities_for_counts(np.arange(n + 1), n, cfg)
                 for count in range(n + 1):
                     # count - 0.5 has exactly `count` points of y at or below it
-                    expected = augmented_cdf(count - 0.5, y, cfg).probs
+                    expected = log_augmented_cdf(count - 0.5, y, cfg).probs
                     assert np.abs(rows[count] - expected).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [200, 109_200, 480_127])
     @pytest.mark.parametrize("depth", [3, 6])
     def test_matches_exact_rational_arithmetic(self, n, depth):
         cfg = SubsampleConfig(depth)
-        r, width = cfg.r, cfg.counts_per_cell
         counts = np.unique(np.linspace(0, n, 50).round().astype(np.int64))
         rows = cell_probabilities_for_counts(counts, n, cfg)
         assert np.abs(rows.sum(axis=1) - 1.0).max() <= 1e-13
-        total = math.comb(n, r)
         for row, count in zip(rows, counts.tolist()):
-            for cell in range(cfg.cells):
-                exact = float(sum(
-                    Fraction(math.comb(count, j) * math.comb(n - count, r - j), total)
-                    for j in range(cell * width, (cell + 1) * width)
-                ))
-                assert abs(row[cell] - exact) <= 1e-13 * exact
+            exact = np.array(exact_cells(count, n, cfg))
+            assert (np.abs(row - exact) <= 1e-13 * exact).all()
 
     def test_extreme_counts_are_exactly_one_hot(self):
         for depth in (1, 3, 6):

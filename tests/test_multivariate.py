@@ -158,3 +158,18 @@ class TestMultivariateTest:
         assert outcome.max_branch in ("x", "y")
         assert 0 < outcome.p_value <= 1
         assert outcome.permutations == 120
+
+    def test_branches_are_computed_once(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        x = rng.standard_normal((50, 2))
+        y = rng.standard_normal((55, 2)) + 0.3
+        original, calls = mv.august_plus, []
+
+        def counting_august_plus(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(mv, "august_plus", counting_august_plus)
+        outcome = multivariate_test(x, y, 2, permutations=120, seed=3)
+        assert len(calls) == 2  # one per Mahalanobis branch
+        assert outcome.p_value == permutation_p_value(x, y, 2, permutations=120, seed=3)
