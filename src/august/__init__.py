@@ -45,7 +45,6 @@ from .errors import (
     SampleTooSmall,
     SingularCovariance,
     TiesPresent,
-    TooManyCombinations,
 )
 from .hadamard import SymmetryVector, fwht, sylvester, symmetry_statistics
 from .hypergeom import CellProbabilities, SubsampleConfig, augmented_cdf
@@ -108,8 +107,7 @@ __all__ = [
     "baseline_permutation_test",
     # errors
     "AugustError", "SampleTooSmall", "NonFiniteInput", "TiesPresent",
-    "TooManyCombinations", "DepthOutOfRange", "LengthNotPowerOfTwo",
-    "DegenerateVector",
+    "DepthOutOfRange", "LengthNotPowerOfTwo", "DegenerateVector",
     "LambdaMismatch", "QuadratureFailure", "SingularCovariance",
     "DimensionMismatch", "EmptySample", "IOFailure", "ParseError",
 ]

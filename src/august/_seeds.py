@@ -1,9 +1,11 @@
 """The replicate engine: seeded streams, replicate blocks and add-one p-values.
 
 Every stochastic operation derives one stream per replicate from
-``(seed, domain, index)``.  Aggregation is always order-independent
-(counts, sums, sorted pools), so results do not depend on how replicates
-are scheduled.  Domains keep streams from different operations disjoint
+``(seed, domain, index)``.  ``replicate_blocks`` draws the sample pairs of
+Monte-Carlo replicates and ``relabellings`` the index orders of the
+permutation tests, so each kind of draw is made in one place.
+Aggregation is always order-independent (counts, sums, sorted pools), so
+results do not depend on how replicates are scheduled.  Domains keep streams from different operations disjoint
 even when they share a user seed.
 """
 
@@ -45,6 +47,17 @@ def replicate_blocks(seed, domain, reps, gen_x, gen_y, m, n):
                 ys = np.empty((size,) + y.shape)
             xs[row], ys[row] = x, y
         yield xs, ys
+
+
+def relabellings(seed, domain, start, stop, total):
+    """Relabellings ``start`` to ``stop - 1`` of ``total`` pooled points.
+
+    Row ``i - start`` is ``replicate_rng(seed, domain, i).permutation(total)``.
+    """
+    out = np.empty((stop - start, total), dtype=np.int64)
+    for i in range(start, stop):
+        out[i - start] = replicate_rng(seed, domain, i).permutation(total)
+    return out
 
 
 def nested_seed(seed, index):

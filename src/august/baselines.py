@@ -96,8 +96,8 @@ def baseline_permutation_test(name, x, y, permutations, seed):
     m = x.size
     perm_stats = np.empty(permutations)
     for i in range(permutations):
-        rng = _seeds.replicate_rng(seed, _seeds.BASELINE, i)
-        shuffled = pooled[rng.permutation(pooled.size)]
+        (order,) = _seeds.relabellings(seed, _seeds.BASELINE, i, i + 1, pooled.size)
+        shuffled = pooled[order]
         perm_stats[i] = stat_fn(shuffled[:m], shuffled[m:])
     return BaselineResult(
         name=name,

@@ -446,16 +446,26 @@ def cmd_power(args):
 
 
 def _add_common(parser, depth_default):
+    """The options every subcommand reads: depth, seed and report path."""
     parser.add_argument("--depth", type=int, default=depth_default,
                         help="binary resolution d")
-    parser.add_argument("--alpha", type=float, default=0.05)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--ties", choices=("error", "jitter"), default="error")
-    parser.add_argument("--cache-dir", default=None,
-                        help="null-table cache (or env AUGUST_CACHE_DIR)")
     parser.add_argument("--report", default=None, help="output path (default stdout)")
-    parser.add_argument("--bonferroni", type=int, default=1, metavar="K",
-                        help="divide alpha by K for multi-test workflows")
+
+
+# Options that only some subcommands read; each subcommand names its own.
+_OPTIONS = {
+    "--alpha": dict(type=float, default=0.05),
+    "--ties": dict(choices=("error", "jitter"), default="error"),
+    "--cache-dir": dict(help="null-table cache (or env AUGUST_CACHE_DIR)"),
+    "--bonferroni": dict(type=int, default=1, metavar="K",
+                         help="divide alpha by K for multi-test workflows"),
+}
+
+
+def _add_options(parser, *flags):
+    for flag in flags:
+        parser.add_argument(flag, **_OPTIONS[flag])
 
 
 def build_parser():
@@ -470,6 +480,7 @@ def build_parser():
     p = sub.add_parser("test", help="univariate two-sample test")
     p.add_argument("data", nargs="+", help="one labeled CSV or two plain CSVs")
     _add_common(p, depth_default=3)
+    _add_options(p, "--alpha", "--ties", "--cache-dir", "--bonferroni")
     p.add_argument("--pvalue-method", choices=("montecarlo", "asymptotic"),
                    default="montecarlo")
     p.add_argument("--sims", type=int, default=10_000,
@@ -479,6 +490,7 @@ def build_parser():
     p = sub.add_parser("test-multi", help="multivariate two-sample test")
     p.add_argument("data", nargs="+")
     _add_common(p, depth_default=2)
+    _add_options(p, "--alpha", "--ties", "--bonferroni")
     p.add_argument("--permutations", type=int, default=999)
     p.add_argument("--ridge", type=float, default=0.0)
     p.set_defaults(func=cmd_test_multi)
@@ -486,6 +498,9 @@ def build_parser():
     p = sub.add_parser("interpret", help="emit plot data explaining a rejection")
     p.add_argument("data", nargs="+")
     _add_common(p, depth_default=3)
+    # No null table is read here; --cache-dir stays so that callers can pass
+    # the same options to every univariate command.
+    _add_options(p, "--ties", "--cache-dir")
     p.add_argument("--reference", choices=("x", "y"), required=True,
                    help="which sample's quantiles define the regions")
     p.add_argument("--top-k", type=int, default=2)
@@ -496,6 +511,7 @@ def build_parser():
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     _add_common(p, depth_default=3)
+    _add_options(p, "--cache-dir")
     p.add_argument("--sims", type=int, default=10_000)
     p.add_argument("--generator", choices=("uniform", "normal", "cauchy"),
                    default="uniform")
@@ -503,6 +519,7 @@ def build_parser():
 
     p = sub.add_parser("power", help="power study over named families")
     _add_common(p, depth_default=3)
+    _add_options(p, "--alpha", "--cache-dir")
     p.add_argument("--families", default=None,
                    help=f"comma list from {sorted(UNIVARIATE_FAMILIES)} "
                         f"and {sorted(BIVARIATE_FAMILIES)}")

@@ -17,10 +17,6 @@ class TiesPresent(AugustError):
     """Duplicate values in the combined sample under the 'error' tie policy."""
 
 
-class TooManyCombinations(AugustError):
-    """Exhaustive subsample enumeration would exceed the combination budget."""
-
-
 class DepthOutOfRange(AugustError):
     """Binary depth outside the supported range."""
 

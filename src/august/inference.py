@@ -32,6 +32,7 @@ from . import _seeds
 from .core import august_many, minimum_sample_size
 from .errors import IOFailure, LambdaMismatch, QuadratureFailure, SampleTooSmall
 from .hadamard import sylvester
+from .hypergeom import SubsampleConfig
 
 __all__ = [
     "GENERATORS",
@@ -193,42 +194,32 @@ def asymptotic_p_value(statistic, m, n, cfg, draws=100_000, seed=0):
     return _seeds.add_one_p_value(np.sort(sims), statistic)
 
 
-def _cell_polynomials(depth):
-    """Coefficient pairs (j, binom(r, j)) per cell for the theoretical CDF map."""
-    r = minimum_sample_size(depth)
-    from math import comb
-
-    cells = []
-    for cell in range(1 << depth):
-        j1, j2 = 2 * cell, 2 * cell + 1
-        cells.append(((j1, comb(r, j1)), (j2, comb(r, j2))))
-    return r, cells
+def _cell_edges(depth):
+    """Subsample size r and the first success count of each cell, then r + 1."""
+    cfg = SubsampleConfig(depth)
+    return cfg.r, np.arange(0, cfg.r + 2, cfg.counts_per_cell)
 
 
 def _cell_values(depth, w):
-    """Theoretical cell probabilities b_k(w) for an array of CDF values w."""
-    r, cells = _cell_polynomials(depth)
-    w = np.asarray(w, dtype=np.float64)
-    out = np.empty((1 << depth,) + w.shape)
-    for k, ((j1, c1), (j2, c2)) in enumerate(cells):
-        out[k] = c1 * w**j1 * (1 - w) ** (r - j1) + c2 * w**j2 * (1 - w) ** (r - j2)
-    return out
+    """Theoretical cell probabilities b_k(w) for a vector of CDF values w.
+
+    Cell k holds the Binomial(r, w) counts from edge k up to edge k + 1.
+    """
+    from scipy.stats import binom
+
+    r, edges = _cell_edges(depth)
+    return -np.diff(binom.sf(edges[:, None] - 1, r, w), axis=0)
 
 
 def _cell_derivatives(depth, u):
-    """d/du of the theoretical cell probabilities at interior points u."""
-    r, cells = _cell_polynomials(depth)
-    u = np.asarray(u, dtype=np.float64)
-    out = np.empty((1 << depth,) + u.shape)
-    for k, pair in enumerate(cells):
-        acc = np.zeros_like(u)
-        for j, c in pair:
-            if j > 0:
-                acc += c * j * u ** (j - 1) * (1 - u) ** (r - j)
-            if r - j > 0:
-                acc -= c * (r - j) * u**j * (1 - u) ** (r - j - 1)
-        out[k] = acc
-    return out
+    """d/du of the theoretical cell probabilities at interior points u.
+
+    Uses d/du P(Bin(r, u) >= a) = r * P(Bin(r - 1, u) = a - 1).
+    """
+    from scipy.stats import binom
+
+    r, edges = _cell_edges(depth)
+    return -r * np.diff(binom.pmf(edges[:, None] - 1, r - 1, u), axis=0)
 
 
 def _check_handles(spec):

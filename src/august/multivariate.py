@@ -8,12 +8,15 @@ correspond to nested elliptical rings centered on the fitted mean.  The
 univariate asymptotic theory does not transfer, so p-values come from a
 permutation test; the statistic is recomputed wholesale (both fits, both
 branches, fresh max) for every relabeling.
+
+One reduction, ``_fit`` and ``_distances`` on a stack of samples, serves
+both: ``fit_mahalanobis`` and ``transform`` are its stack of one, and the
+permutation loop runs it on each chunk of relabelings.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from . import _seeds
 from .core import august_many, august_plus
@@ -56,6 +59,40 @@ def _as_matrix(sample):
     return z
 
 
+def _fit(stack, ridge):
+    """Means, ridged covariances and inverse Cholesky factors of (B, size, dim)."""
+    if ridge < 0:
+        raise ValueError("ridge must be nonnegative")
+    size, dim = stack.shape[1:]
+    if size <= dim:
+        raise SingularCovariance(
+            f"need more observations than dimensions, got {size} points in "
+            f"{dim} dimensions"
+        )
+    means = stack.mean(axis=1)
+    centered = stack - means[:, None, :]
+    covs = centered.transpose(0, 2, 1) @ centered / (size - 1)
+    covs += ridge * np.eye(dim)
+    try:
+        lowers = np.linalg.cholesky(covs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularCovariance(
+            "sample covariance is singular; reduce dimension or pass ridge > 0"
+        ) from exc
+    if np.any(np.linalg.cond(covs) > _MAX_CONDITION):
+        raise SingularCovariance(
+            "sample covariance condition number exceeds 1e12; reduce "
+            "dimension or pass ridge > 0"
+        )
+    return means, covs, np.tril(np.linalg.inv(lowers))
+
+
+def _distances(stack, means, inverse_factors):
+    """Distance of each row of each stacked sample from its fitted mean."""
+    whitened = (stack - means[:, None, :]) @ inverse_factors.transpose(0, 2, 1)
+    return np.sqrt((whitened * whitened).sum(axis=2))
+
+
 def fit_mahalanobis(sample, ridge=0.0, source_label=""):
     """Fit sample mean and (optionally ridge-regularized) covariance.
 
@@ -64,31 +101,8 @@ def fit_mahalanobis(sample, ridge=0.0, source_label=""):
     rather than silently regularizing, since regularization changes the
     test.
     """
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
-    z = _as_matrix(sample)
-    size, dim = z.shape
-    if size <= dim:
-        raise SingularCovariance(
-            f"need more observations than dimensions, got {size} points in "
-            f"{dim} dimensions"
-        )
-    mean = z.mean(axis=0)
-    cov = np.atleast_2d(np.cov(z, rowvar=False, ddof=1))
-    cov = cov + ridge * np.eye(dim)
-    try:
-        lower = np.linalg.cholesky(cov)
-    except np.linalg.LinAlgError as exc:
-        raise SingularCovariance(
-            "sample covariance is singular; reduce dimension or pass ridge > 0"
-        ) from exc
-    if np.linalg.cond(cov) > _MAX_CONDITION:
-        raise SingularCovariance(
-            "sample covariance condition number exceeds 1e12; reduce "
-            "dimension or pass ridge > 0"
-        )
-    inverse_factor = solve_triangular(lower, np.eye(dim), lower=True)
-    return MahalanobisModel(mean, cov, inverse_factor, source_label)
+    means, covs, inverse_factors = _fit(_as_matrix(sample)[None], ridge)
+    return MahalanobisModel(means[0], covs[0], inverse_factors[0], source_label)
 
 
 def transform(sample, model):
@@ -98,8 +112,7 @@ def transform(sample, model):
         raise DimensionMismatch(
             f"sample has dimension {z.shape[1]}, model has {model.mean.size}"
         )
-    whitened = (z - model.mean) @ model.inverse_factor.T
-    return np.sqrt((whitened * whitened).sum(axis=1))
+    return _distances(z[None], model.mean[None], model.inverse_factor[None])[0]
 
 
 def _branch_results(x, y, depth, tie_policy, ridge):
@@ -139,45 +152,26 @@ class MultiResult:
 def _batched_permutation_stats(pooled, m, depth, permutations, seed, ridge):
     """Statistics for seeded random relabelings, computed in batches.
 
-    Permutation ``i`` takes its relabeling from the stream
-    ``(seed, PERMUTATION domain, i)``.  Fits, distance transforms and the
-    univariate statistics are all vectorized across a chunk of relabelings;
-    relabeled pooled continuous data is tie-free almost surely, so no tie
-    policy is applied inside the loop.
+    Permutation ``i`` is ``_seeds.relabellings`` row i in the PERMUTATION
+    domain.  Relabeled pooled continuous data is tie-free almost surely,
+    so no tie policy is applied inside the loop.
     """
     total, dim = pooled.shape
-    n = total - m
     out = np.empty(permutations)
     chunk = max(1, 2_000_000 // (total * dim))
-    eye = np.eye(dim)
     for start in range(0, permutations, chunk):
         stop = min(start + chunk, permutations)
-        rows = stop - start
-        idx = np.empty((rows, total), dtype=np.int64)
-        for i in range(start, stop):
-            rng = _seeds.replicate_rng(seed, _seeds.PERMUTATION, i)
-            idx[i - start] = rng.permutation(total)
+        idx = _seeds.relabellings(seed, _seeds.PERMUTATION, start, stop, total)
         xs = pooled[idx[:, :m]]  # (rows, m, dim)
         ys = pooled[idx[:, m:]]
         branch_stats = []
         for fit_on in (xs, ys):
-            means = fit_on.mean(axis=1)
-            centered = fit_on - means[:, None, :]
-            covs = np.einsum("bik,bil->bkl", centered, centered)
-            covs /= fit_on.shape[1] - 1
-            covs += ridge * eye
-            try:
-                lowers = np.linalg.cholesky(covs)
-            except np.linalg.LinAlgError as exc:
-                raise SingularCovariance(
-                    "a permuted covariance was singular; pass ridge > 0"
-                ) from exc
-            inv_factors = np.linalg.inv(lowers)
-            dx = np.einsum("bkl,bil->bik", inv_factors, xs - means[:, None, :])
-            dy = np.einsum("bkl,bil->bik", inv_factors, ys - means[:, None, :])
-            tx = np.sqrt((dx * dx).sum(axis=2))
-            ty = np.sqrt((dy * dy).sum(axis=2))
-            branch_stats.append(august_many(tx, ty, depth)[0])
+            means, _, inverse_factors = _fit(fit_on, ridge)
+            branch_stats.append(august_many(
+                _distances(xs, means, inverse_factors),
+                _distances(ys, means, inverse_factors),
+                depth,
+            )[0])
         out[start:stop] = np.maximum(branch_stats[0], branch_stats[1])
     return out
 

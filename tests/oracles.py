@@ -7,7 +7,8 @@ route to the cell probabilities.  The routes here check it:
   It is exact enough at small sizes (n <= 60 in these tests), but its
   rows drift from summing to one by about 1e-12 near n = 1000.
 - ``exhaustive_subsample_cdf`` averages the cell indicator over every
-  size-``r`` subsample.
+  size-``r`` subsample, and raises ``TooManyCombinations`` past 1e7 of
+  them.
 - ``bootstrap_augmented_cdf`` estimates the cells by literal resampling.
 """
 
@@ -18,8 +19,12 @@ import numpy as np
 from scipy.special import gammaln
 
 from august import _seeds
-from august.errors import SampleTooSmall, TooManyCombinations
+from august.errors import AugustError, SampleTooSmall
 from august.hypergeom import CellProbabilities
+
+
+class TooManyCombinations(AugustError):
+    """Exhaustive subsample enumeration would exceed the combination budget."""
 
 
 def _checked_reference(y, cfg):

@@ -25,6 +25,12 @@ def write_labeled(path, x, y, labels=("a", "b")):
             fh.write(f"{v},{labels[1]}\n")
 
 
+def write_plain(path, values):
+    with open(path, "w") as fh:
+        for v in values:
+            fh.write(f"{v}\n")
+
+
 def write_labeled_multi(path, x, y, labels=("a", "b")):
     with open(path, "w") as fh:
         for row in x:
@@ -342,6 +348,41 @@ class TestCmdPower:
 
     def test_unknown_family_is_precondition_error(self, workdir):
         assert main(["power", "--families", "nope"]) == EXIT_PRECONDITION
+
+
+class TestOptions:
+    @pytest.mark.parametrize("argv", [
+        ["null-table", "--m", "24", "--n", "24", "--alpha", "0.1"],
+        ["null-table", "--m", "24", "--n", "24", "--ties", "jitter"],
+        ["null-table", "--m", "24", "--n", "24", "--bonferroni", "2"],
+        ["power", "--ties", "jitter"],
+        ["power", "--bonferroni", "2"],
+        ["interpret", "d.csv", "--reference", "y", "--alpha", "0.1"],
+        ["interpret", "d.csv", "--reference", "y", "--bonferroni", "2"],
+        ["test-multi", "d.csv", "--cache-dir", "cache"],
+    ])
+    def test_unread_option_is_usage_error(self, argv):
+        assert main(argv) == EXIT_USAGE
+
+    def test_benchmark_argv_shapes_still_run(self, workdir):
+        # The option sets that benchmark/workloads.py passes: --seed and
+        # --cache-dir go to every test and interpret call.
+        rng = np.random.default_rng(15)
+        x, y = str(workdir / "x.csv"), str(workdir / "y.csv")
+        write_plain(x, rng.normal(size=40))
+        write_plain(y, rng.normal(0.3, 1.2, size=45))
+        common = ["--seed", "2", "--cache-dir", str(workdir / "cache")]
+        for argv in (
+            ["test", x, y, "--report", str(workdir / "miss.json")],
+            ["test", x, y, "--pvalue-method", "asymptotic",
+             "--report", str(workdir / "asym.json")],
+            ["interpret", x, y, "--reference", "y",
+             "--report", str(workdir / "plot.json")],
+            ["power", "--families", "normal-location", "--tests", "august",
+             "--params", "0.5", "--m", "32", "--n", "32", "--reps", "100",
+             "--report", str(workdir / "power.csv")],
+        ):
+            assert main(argv + common) == EXIT_OK, argv
 
 
 class TestExitCodes:

@@ -19,6 +19,7 @@ from august import (
     build_null_table,
     cos_angle,
     minimum_sample_size,
+    p_value,
 )
 
 
@@ -88,6 +89,22 @@ class TestAlgorithmEquivalence:
             assert single.statistic == stats[0]
             assert np.array_equal(single.s_x, s_x[0])
             assert np.array_equal(single.s_y, s_y[0])
+
+    @pytest.mark.parametrize("m,n,depth", [(40, 45, 2), (128, 128, 3), (1800, 1600, 3)])
+    def test_batch_rows_match_fast_path_to_last_bits(self, m, n, depth):
+        # A batch multiplies the cell rows of every count and a single pair
+        # only its occurring ones, so the routes may differ in the last bits,
+        # but not by enough to move a p-value.
+        rng = np.random.default_rng(m + n + depth)
+        xs, ys = rng.random((100, m)), rng.random((100, n))
+        stats, s_x, s_y = august_many(xs, ys, depth)
+        singles = [august_plus(x, y, depth) for x, y in zip(xs, ys)]
+        single_stats = np.array([r.statistic for r in singles])
+        assert np.abs(stats - single_stats).max() <= 1e-15
+        assert np.abs(s_x - [r.s_x for r in singles]).max() <= 1e-15
+        assert np.abs(s_y - [r.s_y for r in singles]).max() <= 1e-15
+        table = build_null_table(m, n, depth, sims=1000, seed=3)
+        assert np.array_equal(p_value(stats, table), p_value(single_stats, table))
 
 
 class TestLargeSamples:

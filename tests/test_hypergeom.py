@@ -9,11 +9,11 @@ from august import (
     DepthOutOfRange,
     SampleTooSmall,
     SubsampleConfig,
-    TooManyCombinations,
     augmented_cdf,
 )
 from august.hypergeom import cell_probabilities_for_counts
 from oracles import (
+    TooManyCombinations,
     bootstrap_augmented_cdf,
     exhaustive_subsample_cdf,
     log_augmented_cdf,

@@ -234,6 +234,11 @@ class TestAlternativeMu:
             mu = alternative_mu(normal_spec(0.0), depth)
             assert np.abs(mu).max() <= 1e-10
 
+    def test_equal_laws_give_zero_vector_at_deepest_depth(self):
+        # Binomial weights C(1023, j) times a count overflowed a float here.
+        mu = alternative_mu(normal_spec(0.0), 9, quadrature_nodes=512)
+        assert np.abs(mu).max() <= 1e-10
+
     def test_equal_uniform_laws_give_zero_vector(self):
         spec = AlternativeSpec(
             cdf_x=lambda t: np.clip(t, 0.0, 1.0),

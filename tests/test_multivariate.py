@@ -133,6 +133,29 @@ class TestPermutationPValue:
             direct = multivariate_statistic(pooled[idx[:35]], pooled[idx[35:]], 2)
             assert abs(batched[i] - direct) <= 1e-12
 
+    def test_loop_distances_are_the_observed_reduction(self, monkeypatch):
+        # The loop fits and transforms each relabelling exactly as
+        # fit_mahalanobis and transform fit and transform observed data.
+        rng = np.random.default_rng(16)
+        pooled = np.vstack([rng.standard_normal((35, 3)),
+                            rng.standard_normal((40, 3)) * 1.3])
+        seen = []
+
+        def recording_august_many(tx, ty, depth):
+            seen.append((tx, ty))
+            return (np.zeros(len(tx)),)
+
+        monkeypatch.setattr(mv, "august_many", recording_august_many)
+        mv._batched_permutation_stats(pooled, 35, 2, 20, 5, 0.0)
+        (x_fit_x, x_fit_y), (y_fit_x, y_fit_y) = seen
+        for i in range(20):
+            idx = _seeds.replicate_rng(5, _seeds.PERMUTATION, i).permutation(75)
+            x, y = pooled[idx[:35]], pooled[idx[35:]]
+            for model, tx, ty in ((fit_mahalanobis(x), x_fit_x, x_fit_y),
+                                  (fit_mahalanobis(y), y_fit_x, y_fit_y)):
+                assert np.array_equal(tx[i], transform(x, model))
+                assert np.array_equal(ty[i], transform(y, model))
+
     def test_null_calibration_smoke(self):
         # Level at alpha = 0.05 over modest trials; the full-scale version
         # lives in the acceptance suite.
