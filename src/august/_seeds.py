@@ -1,12 +1,13 @@
 """The replicate engine: seeded streams, replicate blocks and add-one p-values.
 
-Every stochastic operation derives one stream per replicate from
-``(seed, domain, index)``.  ``replicate_blocks`` draws the sample pairs of
-Monte-Carlo replicates and ``relabellings`` the index orders of the
-permutation tests, so each kind of draw is made in one place.
-Aggregation is always order-independent (counts, sums, sorted pools), so
-results do not depend on how replicates are scheduled.  Domains keep streams from different operations disjoint
-even when they share a user seed.
+Every stochastic operation derives its streams from ``(seed, domain,
+index)``.  ``replicate_blocks`` draws the sample pairs of Monte-Carlo
+replicates, one stream per replicate; ``relabellings`` draws the index
+orders of the permutation tests, one stream per block of ``BLOCK``
+relabellings.  So each kind of draw is made in one place.  Aggregation is
+always order-independent (counts, sums, sorted pools), so results do not
+depend on how replicates are scheduled or chunked.  Domains keep streams
+from different operations disjoint even when they share a user seed.
 """
 
 import numpy as np
@@ -49,15 +50,19 @@ def replicate_blocks(seed, domain, reps, gen_x, gen_y, m, n):
         yield xs, ys
 
 
-def relabellings(seed, domain, start, stop, total):
-    """Relabellings ``start`` to ``stop - 1`` of ``total`` pooled points.
+def relabellings(seed, domain, permutations, total, rows):
+    """Yield ``(start, idx)`` chunks of up to ``rows`` relabellings of ``total`` points.
 
-    Row ``i - start`` is ``replicate_rng(seed, domain, i).permutation(total)``.
+    Relabelling i, whatever ``rows`` is, is the (i mod ``BLOCK``)-th
+    ``permutation(total)`` drawn from ``replicate_rng(seed, domain, i // BLOCK)``.
     """
-    out = np.empty((stop - start, total), dtype=np.int64)
-    for i in range(start, stop):
-        out[i - start] = replicate_rng(seed, domain, i).permutation(total)
-    return out
+    for start in range(0, permutations, rows):
+        idx = np.empty((min(rows, permutations - start), total), dtype=np.int64)
+        for row in range(idx.shape[0]):
+            if (start + row) % BLOCK == 0:
+                rng = replicate_rng(seed, domain, (start + row) // BLOCK)
+            idx[row] = rng.permutation(total)
+        yield start, idx
 
 
 def nested_seed(seed, index):

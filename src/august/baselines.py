@@ -3,8 +3,10 @@
 Kolmogorov-Smirnov (exact sup distance between the empirical CDFs) and
 energy distance in its V-statistic form: full double sums divided by mn,
 m**2 and n**2, the zero diagonals included.  Both are calibrated by a
-permutation test; the pairwise-distance sums use sorted prefix-sum
-identities so a permutation costs O(N log N) rather than O(N**2).
+permutation test.  One kernel per statistic serves the observed split and
+a whole chunk of relabellings: the pooled sample is sorted once, and
+cumulative counts over a ``(rows, N)`` matrix of x labels give both CDFs
+and, by sorted weights, the within sums, in O(rows * N).
 """
 
 from dataclasses import dataclass
@@ -12,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _seeds
-from .errors import EmptySample
+from .errors import EmptySample, NonFiniteInput
 
 __all__ = [
     "BaselineResult",
@@ -34,71 +36,91 @@ def _as_sample(values, label):
     arr = np.asarray(values, dtype=np.float64).ravel()
     if arr.size == 0:
         raise EmptySample(f"sample {label} is empty")
+    if not np.isfinite(arr).all():
+        raise NonFiniteInput("samples must not contain NaN or infinite values")
     return arr
+
+
+class _SortedPool:
+    """The pooled sample ``x`` then ``y``, sorted once for every split of it."""
+
+    def __init__(self, x, y):
+        pooled = np.concatenate([x, y])
+        order = np.argsort(pooled, kind="stable")
+        size = order.size
+        self.m, self.n = x.size, y.size
+        self.values = pooled[order]
+        self.rank = np.argsort(order)  # sorted position of each pooled point
+        # The last point of each run of equal values, where both CDFs are read.
+        self.run_ends = np.flatnonzero(np.append(np.diff(self.values) != 0, True))
+        self.pair_sum = self.values @ (2.0 * np.arange(1, size + 1) - 1.0 - size)
+        self.observed = (order < self.m)[None]
+
+    def labels(self, idx):
+        """x labels in sorted order for relabellings ``idx`` (pooled indices)."""
+        is_x = np.zeros(idx.shape, dtype=bool)
+        np.put_along_axis(is_x, self.rank[idx[:, :self.m]], True, axis=1)
+        return is_x
+
+    def ks(self, is_x):
+        """Sup distance between the two empirical CDFs of each label row."""
+        below_x = np.cumsum(is_x, axis=1)[:, self.run_ends]
+        cdf_y = (self.run_ends + 1 - below_x) / self.n
+        gap = np.subtract(below_x / self.m, cdf_y, out=cdf_y)
+        return np.abs(gap, out=gap).max(axis=1)
+
+    def energy(self, is_x):
+        """Energy distance of each label row, from masked within sums."""
+        m, n = self.m, self.n
+        below = np.cumsum(is_x, axis=1)
+        within_x = self._within(m, below, is_x)
+        # Points labelled y at or before each sorted position.
+        np.subtract(np.arange(1, is_x.shape[1] + 1), below, out=below)
+        within_y = self._within(n, below, ~is_x)
+        cross = self.pair_sum - (within_x + within_y)
+        # Both sums commute, so swapping the labels at m == n is exact.
+        return 2.0 * cross / (m * n) - (2.0 * within_x / m**2 + 2.0 * within_y / n**2)
+
+    def _within(self, size, below, mask):
+        """Per row, the sum of |v_i - v_j| over pairs of the ``size`` masked points."""
+        # ``below`` counts the masked points up to each sorted position; the
+        # k-th masked point weighs 2k - 1 - size.
+        weights = 2.0 * below
+        weights -= 1.0 + size
+        weights *= mask
+        weights *= self.values
+        return weights.sum(axis=1)
+
+
+def _observed(name, x, y):
+    """The sorted pool of ``x`` and ``y``, and the named statistic of their split."""
+    pool = _SortedPool(_as_sample(x, "x"), _as_sample(y, "y"))
+    return pool, float(getattr(pool, name)(pool.observed)[0])
 
 
 def ks_statistic(x, y):
     """Sup-norm distance between the two empirical CDFs, exactly."""
-    x = np.sort(_as_sample(x, "x"))
-    y = np.sort(_as_sample(y, "y"))
-    grid = np.concatenate([x, y])
-    cdf_x = np.searchsorted(x, grid, side="right") / x.size
-    cdf_y = np.searchsorted(y, grid, side="right") / y.size
-    return float(np.abs(cdf_x - cdf_y).max())
-
-
-def _sum_abs_within(sorted_values):
-    """Sum over ordered pairs |v_i - v_j|, i < j, for sorted input."""
-    size = sorted_values.size
-    weights = 2.0 * np.arange(1, size + 1) - 1.0 - size
-    return float(weights @ sorted_values)
-
-
-def _sum_abs_cross(sorted_x, sorted_y):
-    """Sum over all pairs |x_i - y_j| via ranks and prefix sums."""
-    m, n = sorted_x.size, sorted_y.size
-    prefix = np.concatenate([[0.0], np.cumsum(sorted_x)])
-    total = prefix[-1]
-    counts = np.searchsorted(sorted_x, sorted_y, side="right")
-    below_sums = prefix[counts]
-    per_y = (
-        sorted_y * counts - below_sums
-        + (total - below_sums) - sorted_y * (m - counts)
-    )
-    return float(per_y.sum())
+    return _observed("ks", x, y)[1]
 
 
 def energy_statistic(x, y):
     """2 E|X - Y| - E|X - X'| - E|Y - Y'| with full-double-sum means."""
-    x = np.sort(_as_sample(x, "x"))
-    y = np.sort(_as_sample(y, "y"))
-    m, n = x.size, y.size
-    cross = _sum_abs_cross(x, y) / (m * n)
-    within_x = 2.0 * _sum_abs_within(x) / (m * m)
-    within_y = 2.0 * _sum_abs_within(y) / (n * n)
-    return 2.0 * cross - within_x - within_y
-
-
-_STATISTICS = {"ks": ks_statistic, "energy": energy_statistic}
+    return _observed("energy", x, y)[1]
 
 
 def baseline_permutation_test(name, x, y, permutations, seed):
     """Add-one permutation p-value for a named baseline statistic."""
-    if name not in _STATISTICS:
-        raise ValueError(f"unknown baseline {name!r}; choose from {sorted(_STATISTICS)}")
+    if name not in ("ks", "energy"):
+        raise ValueError(f"unknown baseline {name!r}; choose from ['energy', 'ks']")
     if permutations < 100:
         raise ValueError("permutations must be at least 100")
-    stat_fn = _STATISTICS[name]
-    x = _as_sample(x, "x")
-    y = _as_sample(y, "y")
-    observed = stat_fn(x, y)
-    pooled = np.concatenate([x, y])
-    m = x.size
+    pool, observed = _observed(name, x, y)
+    total = pool.values.size
     perm_stats = np.empty(permutations)
-    for i in range(permutations):
-        (order,) = _seeds.relabellings(seed, _seeds.BASELINE, i, i + 1, pooled.size)
-        shuffled = pooled[order]
-        perm_stats[i] = stat_fn(shuffled[:m], shuffled[m:])
+    for start, idx in _seeds.relabellings(
+        seed, _seeds.BASELINE, permutations, total, max(1, 2_000_000 // total)
+    ):
+        perm_stats[start:start + len(idx)] = getattr(pool, name)(pool.labels(idx))
     return BaselineResult(
         name=name,
         statistic=observed,

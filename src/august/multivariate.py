@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _seeds
 from .core import august_many, august_plus
-from .errors import DimensionMismatch, SingularCovariance
+from .errors import DimensionMismatch, NonFiniteInput, SingularCovariance
 
 __all__ = [
     "MahalanobisModel",
@@ -56,6 +56,8 @@ def _as_matrix(sample):
         z = z[:, None]
     if z.ndim != 2:
         raise DimensionMismatch(f"expected a 2-D sample, got ndim {z.ndim}")
+    if not np.isfinite(z).all():
+        raise NonFiniteInput("samples must not contain NaN or infinite values")
     return z
 
 
@@ -159,9 +161,9 @@ def _batched_permutation_stats(pooled, m, depth, permutations, seed, ridge):
     total, dim = pooled.shape
     out = np.empty(permutations)
     chunk = max(1, 2_000_000 // (total * dim))
-    for start in range(0, permutations, chunk):
-        stop = min(start + chunk, permutations)
-        idx = _seeds.relabellings(seed, _seeds.PERMUTATION, start, stop, total)
+    for start, idx in _seeds.relabellings(
+        seed, _seeds.PERMUTATION, permutations, total, chunk
+    ):
         xs = pooled[idx[:, :m]]  # (rows, m, dim)
         ys = pooled[idx[:, m:]]
         branch_stats = []
@@ -172,7 +174,7 @@ def _batched_permutation_stats(pooled, m, depth, permutations, seed, ridge):
                 _distances(ys, means, inverse_factors),
                 depth,
             )[0])
-        out[start:stop] = np.maximum(branch_stats[0], branch_stats[1])
+        out[start:start + len(idx)] = np.maximum(branch_stats[0], branch_stats[1])
     return out
 
 

@@ -10,10 +10,16 @@ route to the cell probabilities.  The routes here check it:
   size-``r`` subsample, and raises ``TooManyCombinations`` past 1e7 of
   them.
 - ``bootstrap_augmented_cdf`` estimates the cells by literal resampling.
+
+``august.baselines`` computes KS and energy distance with one kernel over
+a chunk of relabellings.  ``ks_statistic`` and ``energy_statistic`` here
+compute them one sample pair at a time, and ``exact_energy_statistic`` in
+rational arithmetic.
 """
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 from scipy.special import gammaln
@@ -114,3 +120,63 @@ def exhaustive_subsample_cdf(x, y, cfg):
     for combo in itertools.combinations(below, cfg.r):
         tallies[sum(combo) // width] += 1
     return CellProbabilities(np.array(tallies, dtype=np.float64) / total, cfg.depth)
+
+
+def ks_statistic(x, y):
+    """Sup distance between the two empirical CDFs, one sample at a time.
+
+    Reads both CDFs by ``searchsorted`` at every pooled point.
+    """
+    x = np.sort(np.asarray(x, dtype=np.float64).ravel())
+    y = np.sort(np.asarray(y, dtype=np.float64).ravel())
+    grid = np.concatenate([x, y])
+    cdf_x = np.searchsorted(x, grid, side="right") / x.size
+    cdf_y = np.searchsorted(y, grid, side="right") / y.size
+    return float(np.abs(cdf_x - cdf_y).max())
+
+
+def _sum_abs_within(sorted_values):
+    """Sum over ordered pairs |v_i - v_j|, i < j, for sorted input."""
+    size = sorted_values.size
+    weights = 2.0 * np.arange(1, size + 1) - 1.0 - size
+    return float(weights @ sorted_values)
+
+
+def _sum_abs_cross(sorted_x, sorted_y):
+    """Sum over all pairs |x_i - y_j| via ranks and prefix sums."""
+    m = sorted_x.size
+    prefix = np.concatenate([[0.0], np.cumsum(sorted_x)])
+    total = prefix[-1]
+    counts = np.searchsorted(sorted_x, sorted_y, side="right")
+    below_sums = prefix[counts]
+    per_y = (
+        sorted_y * counts - below_sums
+        + (total - below_sums) - sorted_y * (m - counts)
+    )
+    return float(per_y.sum())
+
+
+def energy_statistic(x, y):
+    """Energy distance, one sample at a time, through sorted prefix sums."""
+    x = np.sort(np.asarray(x, dtype=np.float64).ravel())
+    y = np.sort(np.asarray(y, dtype=np.float64).ravel())
+    m, n = x.size, y.size
+    cross = _sum_abs_cross(x, y) / (m * n)
+    within_x = 2.0 * _sum_abs_within(x) / (m * m)
+    within_y = 2.0 * _sum_abs_within(y) / (n * n)
+    return 2.0 * cross - within_x - within_y
+
+
+def exact_energy_statistic(x, y):
+    """Energy distance in exact rational arithmetic on the float inputs."""
+    def pair_sum(values):
+        ordered = sorted(Fraction(v) for v in values)
+        size = len(ordered)
+        return sum((2 * k - 1 - size) * v for k, v in enumerate(ordered, 1))
+
+    x = [float(v) for v in np.ravel(x)]
+    y = [float(v) for v in np.ravel(y)]
+    m, n = len(x), len(y)
+    within_x, within_y = pair_sum(x), pair_sum(y)
+    cross = pair_sum(x + y) - within_x - within_y
+    return 2 * cross / (m * n) - 2 * within_x / (m * m) - 2 * within_y / (n * n)

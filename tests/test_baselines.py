@@ -1,12 +1,27 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+import oracles
 from august import (
     EmptySample,
+    NonFiniteInput,
+    _seeds,
     baseline_permutation_test,
+    baselines,
     energy_statistic,
     ks_statistic,
 )
+
+ORACLE_SIZES = [(5, 7), (128, 128), (300, 200)]
+
+
+def oracle_sample(m, n, ties):
+    """Normal x and shifted-normal y; with ties, both rounded to 0.1."""
+    rng = np.random.default_rng(1000 * m + n)
+    x, y = rng.normal(size=m), rng.normal(0.5, 1.0, size=n)
+    return (x.round(1), y.round(1)) if ties else (x, y)
 
 
 def brute_energy(x, y):
@@ -116,3 +131,81 @@ class TestBaselinePermutationTest:
     def test_permutations_floor(self):
         with pytest.raises(ValueError):
             baseline_permutation_test("ks", [1.0], [2.0], 99, 0)
+
+
+@pytest.mark.parametrize("ties", [False, True])
+@pytest.mark.parametrize("m, n", ORACLE_SIZES)
+class TestKernelAgainstOracles:
+    def test_ks_is_the_per_sample_oracle_bit_for_bit(self, m, n, ties):
+        x, y = oracle_sample(m, n, ties)
+        assert ks_statistic(x, y) == oracles.ks_statistic(x, y)
+
+    def test_energy_is_exact_arithmetic_within_1e_12(self, m, n, ties):
+        x, y = oracle_sample(m, n, ties)
+        exact = float(oracles.exact_energy_statistic(x, y))
+        assert abs(energy_statistic(x, y) - exact) <= 1e-12 * abs(exact)
+
+
+@pytest.mark.parametrize("name", ["ks", "energy"])
+@pytest.mark.parametrize("m, n", [(4, 4), (60, 90)])
+def test_p_value_is_the_oracle_count_over_the_same_relabellings(name, m, n):
+    rng = np.random.default_rng(m + n)
+    x, y = rng.normal(size=m), rng.normal(0.5, 1.0, size=n)
+    oracle = getattr(oracles, f"{name}_statistic")
+    pooled = np.concatenate([x, y])
+    observed = oracle(x, y)
+    perm_stats = [
+        oracle(pooled[order[:m]], pooled[order[m:]])
+        for _, idx in _seeds.relabellings(23, _seeds.BASELINE, 150, m + n, 1)
+        for order in idx
+    ]
+    # Statistics equal to the observed one count as at or above it; at
+    # m = n the oracle's energy of the swapped split may differ by rounding.
+    at_or_above = sum(t >= observed - 1e-12 * abs(observed) for t in perm_stats)
+    outcome = baseline_permutation_test(name, x, y, 150, seed=23)
+    assert outcome.p_value == (1 + at_or_above) / 151
+    assert outcome.statistic == pytest.approx(observed, rel=1e-12)
+
+
+@pytest.mark.parametrize("name", ["ks", "energy"])
+def test_repeated_and_swapped_splits_give_the_observed_float(name):
+    rng = np.random.default_rng(8)
+    x, y = rng.normal(size=50), rng.normal(size=50) * 1.7
+    pool = baselines._SortedPool(x, y)
+    identity = np.arange(100)
+    idx = np.stack([rng.permutation(100), identity, np.roll(identity, 50)])
+    stats = getattr(pool, name)(pool.labels(idx))
+    observed = (ks_statistic if name == "ks" else energy_statistic)(x, y)
+    assert stats[1] == observed
+    assert stats[2] == observed  # x and y swapped, m == n
+
+
+@pytest.mark.parametrize("name", ["ks", "energy"])
+def test_permutation_memory_is_bounded_by_a_chunk(name):
+    rng = np.random.default_rng(12)
+    x, y = rng.normal(size=100_000), rng.normal(size=100_000)
+    tracemalloc.start()
+    try:
+        baseline_permutation_test(name, x, y, 100, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["x", "y"])
+@pytest.mark.parametrize("entry", [
+    ks_statistic,
+    energy_statistic,
+    lambda x, y: baseline_permutation_test("ks", x, y, 100, seed=0),
+    lambda x, y: baseline_permutation_test("energy", x, y, 100, seed=0),
+], ids=["ks_statistic", "energy_statistic", "permutation_ks", "permutation_energy"])
+def test_non_finite_input_raises(entry, side, bad):
+    x, y = [0.1, 1.0, 2.0], [0.0, 1.5]
+    if side == "x":
+        x[1] = bad
+    else:
+        y[0] = bad
+    with pytest.raises(NonFiniteInput):
+        entry(x, y)

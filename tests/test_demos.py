@@ -13,8 +13,10 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("demo", [
     "01_augmented_cdf.py",
     "02_symmetry_statistics.py",
+    "03_two_sample_test.py",
     "04_interpretation.py",
     "05_multivariate.py",
+    "06_power_study.py",
 ])
 def test_demo_runs(demo, tmp_path):
     # Demo 04 writes plot-data.json into its working directory.

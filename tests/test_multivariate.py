@@ -4,6 +4,7 @@ import pytest
 from august import (
     DimensionMismatch,
     MahalanobisModel,
+    NonFiniteInput,
     SingularCovariance,
     fit_mahalanobis,
     multivariate_statistic,
@@ -127,8 +128,9 @@ class TestPermutationPValue:
         y = rng.standard_normal((40, 2))
         pooled = np.vstack([x, y])
         batched = mv._batched_permutation_stats(pooled, 35, 2, 10, 77, 0.0)
+        # Relabellings 0..9 are the first ten permutations of block 0's stream.
+        stream = _seeds.replicate_rng(77, _seeds.PERMUTATION, 0)
         for i in range(10):
-            stream = _seeds.replicate_rng(77, _seeds.PERMUTATION, i)
             idx = stream.permutation(pooled.shape[0])
             direct = multivariate_statistic(pooled[idx[:35]], pooled[idx[35:]], 2)
             assert abs(batched[i] - direct) <= 1e-12
@@ -148,8 +150,9 @@ class TestPermutationPValue:
         monkeypatch.setattr(mv, "august_many", recording_august_many)
         mv._batched_permutation_stats(pooled, 35, 2, 20, 5, 0.0)
         (x_fit_x, x_fit_y), (y_fit_x, y_fit_y) = seen
+        stream = _seeds.replicate_rng(5, _seeds.PERMUTATION, 0)
         for i in range(20):
-            idx = _seeds.replicate_rng(5, _seeds.PERMUTATION, i).permutation(75)
+            idx = stream.permutation(75)
             x, y = pooled[idx[:35]], pooled[idx[35:]]
             for model, tx, ty in ((fit_mahalanobis(x), x_fit_x, x_fit_y),
                                   (fit_mahalanobis(y), y_fit_x, y_fit_y)):
@@ -196,3 +199,20 @@ class TestMultivariateTest:
         outcome = multivariate_test(x, y, 2, permutations=120, seed=3)
         assert len(calls) == 2  # one per Mahalanobis branch
         assert outcome.p_value == permutation_p_value(x, y, 2, permutations=120, seed=3)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", ["x", "y"])
+@pytest.mark.parametrize("entry", [
+    lambda x, y: (fit_mahalanobis(x), fit_mahalanobis(y)),
+    multivariate_statistic,
+    lambda x, y: multivariate_test(x, y, permutations=100, seed=0),
+    lambda x, y: permutation_p_value(x, y, permutations=100, seed=0),
+], ids=["fit_mahalanobis", "multivariate_statistic", "multivariate_test",
+        "permutation_p_value"])
+def test_non_finite_input_raises(entry, side, bad):
+    rng = np.random.default_rng(17)
+    x, y = rng.standard_normal((30, 2)), rng.standard_normal((35, 2))
+    (x if side == "x" else y)[3, 1] = bad
+    with pytest.raises(NonFiniteInput):
+        entry(x, y)
