@@ -1,11 +1,12 @@
-"""Large-sample machinery: the Gaussian limit and a-priori power analysis.
+"""Large-sample machinery: the closed-form limit law and a-priori power analysis.
 
-The concatenated symmetry vectors are asymptotically normal under the
-null; their covariance is estimated from null simulations and the
-statistic's limit law is then a simulated Gaussian quadratic form, giving
-a fast approximate p-value for large samples.  Under a fixed alternative
-the vectors concentrate on a computable mean vector mu, which lets you
-size a study before collecting data.
+Under the null, (m n / N) S tends to a weighted sum of independent
+chi-square(1) variables, whatever m / N.  The weights are the eigenvalues
+of the covariance K of the Hadamard-transformed binomial cell weights of a
+uniform, and depend only on the depth, so the asymptotic p-value is read
+from a fixed law without any simulation.  Under a fixed alternative the
+symmetry vectors concentrate on a computable mean vector mu, which lets
+you size a study before collecting data.
 """
 
 import numpy as np
@@ -16,24 +17,24 @@ from august import (
     alternative_mu,
     asymptotic_p_value,
     build_null_table,
-    estimate_sigma,
+    limit_weights,
     p_value,
 )
 
 m = n = 1000
 depth = 3
 
-cfg = estimate_sigma(m, n, depth, reps=3000, seed=1)
-table = build_null_table(m, n, depth, sims=10_000, seed=2)
-print(f"estimated limit covariance: {cfg.sigma.shape[0]}x{cfg.sigma.shape[1]}, "
-      f"lambda = {cfg.lam}")
+print(f"limit law: (m n / N) S -> sum_i w_i chi2_1, weights at depth {depth}:")
+print(f"  {np.round(limit_weights(depth), 4)}")
 print()
-print(f"{'S':>9} {'montecarlo':>11} {'asymptotic':>11}")
+
+table = build_null_table(m, n, depth, sims=10_000, seed=2)
+print(f"{'quantile':>9} {'S':>9} {'montecarlo':>11} {'limit':>11}")
 for q in (0.50, 0.90, 0.95, 0.99):
     s = float(np.quantile(table.stats, q))
     mc = p_value(s, table)
-    asym = asymptotic_p_value(s, m, n, cfg, draws=50_000, seed=3)
-    print(f"{s:>9.4f} {mc:>11.4f} {asym:>11.4f}")
+    limit = asymptotic_p_value(s, m, n, depth)
+    print(f"{q:>9.2f} {s:>9.4f} {mc:>11.4f} {limit:>11.4f}")
 print()
 
 # Population-level symmetry statistics for a normal location shift:

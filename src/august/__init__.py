@@ -37,7 +37,6 @@ from .errors import (
     DimensionMismatch,
     EmptySample,
     IOFailure,
-    LambdaMismatch,
     LengthNotPowerOfTwo,
     NonFiniteInput,
     ParseError,
@@ -57,6 +56,8 @@ from .inference import (
     build_null_table,
     cached_null_table,
     estimate_sigma,
+    limit_covariance,
+    limit_weights,
     load_null_table,
     null_table_path,
     p_value,
@@ -93,7 +94,8 @@ __all__ = [
     "SymmetryVector", "sylvester", "fwht", "symmetry_statistics",
     # inference
     "NullTable", "AsymptoticConfig", "AlternativeSpec", "build_null_table",
-    "p_value", "estimate_sigma", "asymptotic_p_value", "alternative_mu",
+    "p_value", "estimate_sigma", "limit_covariance", "limit_weights",
+    "asymptotic_p_value", "alternative_mu",
     "power_simulation", "null_table_path", "save_null_table",
     "load_null_table", "cached_null_table",
     # multivariate
@@ -108,6 +110,6 @@ __all__ = [
     # errors
     "AugustError", "SampleTooSmall", "NonFiniteInput", "TiesPresent",
     "DepthOutOfRange", "LengthNotPowerOfTwo", "DegenerateVector",
-    "LambdaMismatch", "QuadratureFailure", "SingularCovariance",
+    "QuadratureFailure", "SingularCovariance",
     "DimensionMismatch", "EmptySample", "IOFailure", "ParseError",
 ]

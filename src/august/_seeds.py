@@ -18,7 +18,6 @@ POWER_TRIAL = 1
 SIGMA = 2
 PERMUTATION = 3
 BOOTSTRAP = 4  # the resampling oracle in the tests
-ASYMPTOTIC = 5
 TIE_JITTER = 6
 BASELINE = 7
 NESTED_TEST = 8

@@ -33,7 +33,7 @@ from .families import BIVARIATE_FAMILIES, UNIVARIATE_FAMILIES, get_family
 from .inference import (
     asymptotic_p_value,
     cached_null_table,
-    estimate_sigma,
+    estimate_sigma,  # noqa: F401 -- unused here; benchmark/tracer.py wraps this name
     null_table_path,
     p_value,
     power_simulation,
@@ -231,12 +231,7 @@ def cmd_test(args):
             ),
         }
     else:
-        cfg = estimate_sigma(
-            x.size, y.size, args.depth, max(1000, min(args.sims, 5000)), args.seed
-        )
-        pval = asymptotic_p_value(
-            result.statistic, x.size, y.size, cfg, seed=args.seed
-        )
+        pval = asymptotic_p_value(result.statistic, x.size, y.size, args.depth)
     effective = _effective_alpha(args)
     report = {
         "command": "test",
@@ -482,7 +477,9 @@ def build_parser():
     _add_common(p, depth_default=3)
     _add_options(p, "--alpha", "--ties", "--cache-dir", "--bonferroni")
     p.add_argument("--pvalue-method", choices=("montecarlo", "asymptotic"),
-                   default="montecarlo")
+                   default="montecarlo",
+                   help="a cached null table of --sims statistics, or the "
+                        "closed-form limit law (no simulation)")
     p.add_argument("--sims", type=int, default=10_000,
                    help="null-table size B")
     p.set_defaults(func=cmd_test)

@@ -29,10 +29,6 @@ class DegenerateVector(AugustError):
     """A symmetry vector has zero norm (exactly uniform cell probabilities)."""
 
 
-class LambdaMismatch(AugustError):
-    """Sample-size ratio is too far from the calibrated m/N."""
-
-
 class QuadratureFailure(AugustError):
     """Quadrature did not stabilize under node doubling."""
 

@@ -12,25 +12,32 @@ draws x and then y from its own stream ``(seed, domain, i)``, in blocks of
 2048 rows that ``august_many`` takes at once.  Every add-one p-value, here
 and in the permutation tests, comes from ``_seeds.add_one_p_value``.
 
-The asymptotic mode simulates the large-sample Gaussian limit of the
-concatenated symmetry vectors: the limiting covariance has no closed form
-here, so it is estimated from null simulations at finite N and the mode is
-labeled approximate.  ``alternative_mu`` computes the population-level mean
-of the symmetry vectors under a fixed pair of laws by Gauss-Legendre
-quadrature, which powers a-priori power analysis.
+The asymptotic mode reads the statistic's limit law in closed form.
+Under the null ``(m n / N) S`` tends to ``sum_i w_i chi2_1``, whatever
+``m / N``: the ``w_i`` are the eigenvalues of ``K``, the covariance of the
+Hadamard-transformed binomial cell weights ``b_k(U)`` of a uniform ``U``.
+``K`` depends only on the depth and is computed once per depth from Beta
+integrals; the tail is read by inverting the characteristic function, so
+the mode draws no random numbers and costs the same at every N.
+``estimate_sigma`` simulates the same covariance at finite N and serves as
+the oracle that ``K`` is checked against.  ``alternative_mu`` computes the
+population-level mean of the symmetry vectors under a fixed pair of laws
+by Gauss-Legendre quadrature, which powers a-priori power analysis.
 """
 
 import json
+import math
 import os
 import struct
 import tempfile
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from . import _seeds
 from .core import august_many, minimum_sample_size
-from .errors import IOFailure, LambdaMismatch, QuadratureFailure, SampleTooSmall
+from .errors import IOFailure, QuadratureFailure, SampleTooSmall
 from .hadamard import sylvester
 from .hypergeom import SubsampleConfig
 
@@ -42,6 +49,8 @@ __all__ = [
     "build_null_table",
     "p_value",
     "estimate_sigma",
+    "limit_covariance",
+    "limit_weights",
     "asymptotic_p_value",
     "alternative_mu",
     "power_simulation",
@@ -84,7 +93,7 @@ class NullTable:
 
 @dataclass(frozen=True)
 class AsymptoticConfig:
-    """Empirical stand-in for the large-sample Gaussian null limit."""
+    """A null covariance of the symmetry vectors, simulated at finite N."""
 
     lam: float
     sigma: np.ndarray
@@ -152,8 +161,8 @@ def p_value(statistic, table):
 def estimate_sigma(m, n, depth, reps, seed):
     """Sample covariance of sqrt(N) * (s_x, s_y) under the null.
 
-    The limiting covariance blocks have no closed form, so this finite-N
-    estimate backs the asymptotic p-value mode.
+    Times ``lam (1 - lam)``, its x-block estimates ``limit_covariance``;
+    the tests check the closed form against it.
     """
     if reps < 1000:
         raise ValueError("reps must be at least 1000")
@@ -174,24 +183,106 @@ def estimate_sigma(m, n, depth, reps, seed):
     )
 
 
-def asymptotic_p_value(statistic, m, n, cfg, draws=100_000, seed=0):
-    """Approximate p-value from the simulated Gaussian limit.
+@lru_cache(maxsize=None)
+def _limit(depth):
+    """``K`` and its eigenvalues at ``depth``, read-only, built once per depth.
 
-    Draws ``(z_x, z_y)`` from N(0, sigma), forms ``-(z_x . z_y) / N`` and
-    returns the add-one exceedance proportion against ``statistic``.
+    ``SubsampleConfig`` admits depths 1 to 9, so the cache holds at most nine.
+
+    ``M_kl = E[b_k(U) b_l(U)]`` sums ``C(r,j) C(r,i) B(j+i+1, 2r-j-i+1)``
+    over the counts j of cell k and i of cell l, and ``K = H M H^T`` with
+    H the Sylvester matrix without its first row.  The Beta term depends
+    only on ``i + j``, so 2r + 2 log-factorials give every entry.
     """
-    lam = m / (m + n)
-    if abs(lam - cfg.lam) > 0.1:
-        raise LambdaMismatch(
-            f"m/(m+n) = {lam:.3f} but config was calibrated at {cfg.lam:.3f}"
-        )
-    eigvals, eigvecs = np.linalg.eigh(cfg.sigma)
-    factor = eigvecs * np.sqrt(np.clip(eigvals, 0.0, None))
-    rng = _seeds.replicate_rng(seed, _seeds.ASYMPTOTIC)
-    z = rng.standard_normal((draws, cfg.sigma.shape[0])) @ factor.T
-    half = cfg.sigma.shape[0] // 2
-    sims = -(z[:, :half] * z[:, half:]).sum(axis=1) / (m + n)
-    return _seeds.add_one_p_value(np.sort(sims), statistic)
+    cfg = SubsampleConfig(depth)
+    r = cfg.r
+    log_fact = np.array([math.lgamma(k + 1.0) for k in range(2 * r + 2)])
+    log_comb = log_fact[r] - log_fact[: r + 1] - log_fact[r::-1]
+    total = np.arange(2 * r + 1)
+    log_beta = log_fact[total] + log_fact[2 * r - total] - log_fact[2 * r + 1]
+    j = np.arange(r + 1)
+    moments = np.exp(log_comb[:, None] + log_comb + log_beta[j[:, None] + j])
+    per = cfg.counts_per_cell
+    cells = moments.reshape(cfg.cells, per, cfg.cells, per).sum(axis=(1, 3))
+    reduced = sylvester(depth)[1:].astype(np.float64)
+    cov = reduced @ cells @ reduced.T
+    cov = (cov + cov.T) / 2.0
+    weights = np.linalg.eigvalsh(cov)
+    # From about depth 7, K is singular to rounding: drop its zero eigenvalues.
+    weights = weights[weights > 1e-12 * weights[-1]]
+    cov.flags.writeable = False
+    weights.flags.writeable = False
+    return cov, weights
+
+
+def limit_covariance(depth):
+    """``K``: the limit of ``(m n / N) Cov(s_x)`` under the null, at any m / N."""
+    return _limit(depth)[0].copy()
+
+
+def limit_weights(depth):
+    """The ascending eigenvalues ``w_i`` of ``K``: ``(m n / N) S -> sum_i w_i chi2_1``."""
+    return _limit(depth)[1].copy()
+
+
+_TAIL_ERROR = 1e-10
+
+
+def _mixture_tail(weights, x):
+    """``P(sum_i w_i chi2_1 > x)`` for positive ascending weights.
+
+    One weight is the chi-square tail ``erfc``.  More are read by Davies'
+    (1973) midpoint sum over the characteristic function ``phi``:
+    ``P = 1/2 + sum_k Im[phi(t_k) e^(-i t_k x)] / (pi (k + 1/2))`` with
+    ``t_k = (k + 1/2) step``.  The sum reads the tail of Q wrapped with
+    period ``2 pi / step``, so the step keeps the wrapped mass below a
+    Chernoff bound; it stops once a term's amplitude, over how little the
+    terms' phases turn per step, falls below ``_TAIL_ERROR``.  The result
+    is within about ``_TAIL_ERROR`` of the tail, absolutely; beyond the
+    Chernoff reach, where the tail is below a tenth of that, it reads 0.
+    """
+    if x <= 0.0:
+        return 1.0
+    if weights.size == 1:
+        return math.erfc(math.sqrt(x / (2.0 * weights[0])))
+    # Chernoff at s = 1 / (4 w_max): P(Q > t) <= exp(log_mgf - t / (4 w_max)).
+    top = weights[-1]
+    log_mgf = -0.5 * np.log1p(-weights / (2.0 * top)).sum()
+    reach = 4.0 * top * (log_mgf + math.log(10.0 / _TAIL_ERROR))
+    if x >= reach:
+        return 0.0
+    step = 2.0 * math.pi / (x + reach)
+
+    def log_amplitude(t):
+        return -0.25 * np.log1p(np.square(2.0 * np.outer(t, weights))).sum(axis=1)
+
+    grid = np.geomspace(1e-2, 1e12, 600) / top
+    turn = max(math.sin(math.pi * x / (x + reach)), 1e-3)
+    small = log_amplitude(grid) - np.log(math.pi * grid / step) < math.log(
+        _TAIL_ERROR * turn
+    )
+    terms = math.ceil(grid[small.argmax()] / step)
+    total = 0.0
+    rows = max(1, (1 << 20) // weights.size)
+    for start in range(0, terms, rows):
+        k = np.arange(start, min(terms, start + rows)) + 0.5
+        t = k * step
+        phase = 0.5 * np.arctan(2.0 * np.outer(t, weights)).sum(axis=1) - t * x
+        total += (np.sin(phase) * np.exp(log_amplitude(t)) / k).sum()
+    return 0.5 + total / math.pi
+
+
+def asymptotic_p_value(statistic, m, n, depth):
+    """``P(sum_i w_i chi2_1 > (m n / (m + n)) statistic)`` under the limit law.
+
+    Deterministic, within about 1e-10 of the limit's tail, clipped to
+    [0, 1]; a statistic at or below zero gives 1.
+    """
+    statistic = float(statistic)
+    if not math.isfinite(statistic):
+        raise ValueError("statistic must be finite")
+    x = m * n / (m + n) * statistic
+    return min(1.0, max(0.0, _mixture_tail(_limit(depth)[1], x)))
 
 
 def _cell_edges(depth):

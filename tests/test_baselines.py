@@ -146,6 +146,16 @@ class TestKernelAgainstOracles:
         assert abs(energy_statistic(x, y) - exact) <= 1e-12 * abs(exact)
 
 
+@pytest.mark.parametrize("m, n", [(128, 128), (2000, 1500)])
+def test_energy_keeps_its_relative_accuracy_far_from_zero(m, n):
+    # No shift between the samples: the statistic is small next to the
+    # common offset of 100 that every value carries.
+    rng = np.random.default_rng(m + n)
+    x, y = 100.0 + rng.normal(size=m), 100.0 + rng.normal(size=n)
+    exact = float(oracles.exact_energy_statistic(x, y))
+    assert abs(energy_statistic(x, y) - exact) <= 1e-13 * exact
+
+
 @pytest.mark.parametrize("name", ["ks", "energy"])
 @pytest.mark.parametrize("m, n", [(4, 4), (60, 90)])
 def test_p_value_is_the_oracle_count_over_the_same_relabellings(name, m, n):

@@ -178,6 +178,20 @@ class TestCmdTest:
         assert parsed["pvalue_method"] == "asymptotic"
         assert 0 < parsed["p_value"] <= 1
 
+    def test_asymptotic_method_draws_nothing(self, workdir, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the asymptotic p-value simulated")
+
+        monkeypatch.setattr(august.cli, "estimate_sigma", refuse)
+        monkeypatch.setattr(august._seeds, "replicate_rng", refuse)
+        rng = np.random.default_rng(5)
+        data = str(workdir / "d.csv")
+        write_labeled(data, rng.normal(size=60), rng.normal(0.5, 1.0, size=70))
+        report = str(workdir / "r.json")
+        assert main(["test", data, "--pvalue-method", "asymptotic",
+                     "--report", report]) == EXIT_OK
+        assert 0 < json.load(open(report))["p_value"] < 1
+
     def test_null_data_rarely_rejects(self, workdir):
         # Scripted calibration smoke: most null datasets must fail to reject.
         cache = str(workdir / "cache")
@@ -383,6 +397,64 @@ class TestOptions:
              "--report", str(workdir / "power.csv")],
         ):
             assert main(argv + common) == EXIT_OK, argv
+
+
+TEST_KEYS = {
+    "command", "labels", "m", "n", "depth", "statistic", "p_value",
+    "pvalue_method", "alpha", "effective_alpha", "decision", "s_x", "s_y",
+    "p_x", "p_y", "tie_policy_applied", "null_table", "config",
+}
+TEST_CONFIG_KEYS = {
+    "alpha", "bonferroni", "cache_dir", "data", "depth", "pvalue_method",
+    "report", "seed", "sims", "subcommand", "ties",
+}
+
+
+class TestReportKeys:
+    """Without opt-in flags, reports keep exactly these keys."""
+
+    @pytest.fixture()
+    def data(self, workdir):
+        rng = np.random.default_rng(16)
+        path = str(workdir / "d.csv")
+        write_labeled(path, rng.normal(size=40), rng.normal(0.4, 1.0, size=45))
+        return path
+
+    def test_montecarlo_test_report(self, workdir, data):
+        report = str(workdir / "r.json")
+        assert main(["test", data, "--sims", "200", "--cache-dir",
+                     str(workdir / "c"), "--report", report]) == EXIT_OK
+        parsed = json.load(open(report))
+        assert set(parsed) == TEST_KEYS
+        assert set(parsed["null_table"]) == {
+            "sims", "seed", "generator_tag", "cache_hit", "path",
+        }
+        assert set(parsed["config"]) == TEST_CONFIG_KEYS
+
+    def test_asymptotic_test_report(self, workdir, data):
+        report = str(workdir / "r.json")
+        assert main(["test", data, "--pvalue-method", "asymptotic",
+                     "--report", report]) == EXIT_OK
+        parsed = json.load(open(report))
+        assert set(parsed) == TEST_KEYS
+        assert parsed["null_table"] is None
+        assert set(parsed["config"]) == TEST_CONFIG_KEYS
+
+    def test_interpret_summary(self, workdir, data, capsys):
+        assert main(["interpret", data, "--reference", "y", "--report",
+                     str(workdir / "plot.json")]) == EXIT_OK
+        summary = json.loads(capsys.readouterr().out)
+        assert set(summary) == {
+            "command", "labels", "statistic", "reference", "plot_data", "rows",
+            "config",
+        }
+        assert {frozenset(row) for row in summary["rows"]} == {
+            frozenset({"rank", "row_index", "statistic_value", "label"})
+        }
+        assert set(summary["config"]) == {
+            "bins", "cache_dir", "data", "depth", "reference", "report", "seed",
+            "subcommand", "ties", "top_k",
+        }
 
 
 class TestExitCodes:

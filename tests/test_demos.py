@@ -17,6 +17,8 @@ ROOT = Path(__file__).resolve().parent.parent
     "04_interpretation.py",
     "05_multivariate.py",
     "06_power_study.py",
+    "07_benchmark.py",
+    "08_asymptotics.py",
 ])
 def test_demo_runs(demo, tmp_path):
     # Demo 04 writes plot-data.json into its working directory.

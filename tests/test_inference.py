@@ -1,3 +1,4 @@
+import math
 import os
 import threading
 
@@ -7,9 +8,7 @@ from scipy import stats as scipy_stats
 
 from august import (
     AlternativeSpec,
-    AsymptoticConfig,
     IOFailure,
-    LambdaMismatch,
     NullTable,
     QuadratureFailure,
     SampleTooSmall,
@@ -20,6 +19,8 @@ from august import (
     cached_null_table,
     estimate_sigma,
     ks_statistic,
+    limit_covariance,
+    limit_weights,
     load_null_table,
     null_table_path,
     p_value,
@@ -27,6 +28,7 @@ from august import (
     save_null_table,
     sylvester,
 )
+from august.inference import _mixture_tail
 
 
 class TestNullTable:
@@ -191,31 +193,96 @@ class TestEstimateSigma:
         assert np.abs(small - large).max() / scale < 0.15
 
 
-class TestAsymptoticPValue:
-    def test_lambda_mismatch_guard(self):
-        cfg = AsymptoticConfig(0.5, np.eye(2), 100, 1000)
-        with pytest.raises(LambdaMismatch):
-            asymptotic_p_value(0.1, 100, 900, cfg)
+class TestLimitLaw:
+    def test_weights_at_depths_two_and_three(self):
+        assert np.round(limit_weights(2), 4).tolist() == [0.0915, 0.3641, 0.7423]
+        w = np.round(limit_weights(3), 4)
+        assert w.size == 7 and (w[0], w[-1]) == (0.0027, 0.8723)
 
+    def test_x_block_of_the_simulated_covariance_is_k(self):
+        reps = 4000
+        cfg = estimate_sigma(500, 500, 3, reps=reps, seed=1)
+        block = cfg.sigma[:7, :7] * cfg.lam * (1.0 - cfg.lam)
+        k = limit_covariance(3)
+        # Standard error of a sample covariance entry of Gaussian vectors.
+        se = np.sqrt((np.outer(np.diag(k), np.diag(k)) + k**2) / reps)
+        assert np.all(np.abs(block - k) <= 4.0 * se)
+
+    def test_weights_are_the_eigenvalues_of_k(self):
+        for depth in (2, 5):
+            k = limit_covariance(depth)
+            assert np.abs(k - k.T).max() == 0.0
+            assert np.allclose(np.linalg.eigvalsh(k)[-limit_weights(depth).size:],
+                               limit_weights(depth), atol=1e-14)
+
+    @pytest.mark.parametrize("dof, sf", [
+        (3, lambda t: math.erfc(math.sqrt(t / 2))
+            + math.sqrt(2 * t / math.pi) * math.exp(-t / 2)),
+        (4, lambda t: math.exp(-t / 2) * (1 + t / 2)),
+    ])
+    def test_inversion_is_the_chi_square_tail(self, dof, sf):
+        # Equal weights w make the mixture w * chi2_dof, whose tail is known.
+        w = 0.7
+        for t in np.concatenate([np.geomspace(0.1, 1.0, 5), np.linspace(1.5, 40, 30)]):
+            assert abs(_mixture_tail(np.full(dof, w), w * t) - sf(t)) <= 1e-9
+
+    def test_tail_matches_a_simulation_of_the_mixture(self):
+        draws = 100_000
+        rng = np.random.default_rng(2021)
+        for depth in range(2, 10):
+            w = limit_weights(depth)
+            mixture = np.concatenate([
+                np.square(rng.standard_normal((10_000, w.size))) @ w
+                for _ in range(draws // 10_000)
+            ])
+            for level in (0.5, 0.1, 0.05, 0.01):
+                x = float(np.quantile(mixture, 1.0 - level))
+                # At m = n = 1000, (m n / N) S = 500 S reads the mixture at x.
+                p = asymptotic_p_value(x / 500, 1000, 1000, depth)
+                assert abs(p - level) <= 3.0 * math.sqrt(level * (1 - level) / draws)
+
+
+class TestAsymptoticPValue:
     def test_deterministic(self):
-        cfg = AsymptoticConfig(0.5, np.eye(6), 100, 1000)
-        a = asymptotic_p_value(0.05, 50, 50, cfg, draws=2000, seed=4)
-        b = asymptotic_p_value(0.05, 50, 50, cfg, draws=2000, seed=4)
+        a = asymptotic_p_value(0.05, 50, 50, 3)
+        b = asymptotic_p_value(0.05, 50, 50, 3)
         assert a == b
 
+    def test_depends_on_sizes_only_through_mn_over_n(self):
+        # (m n / N) S is 50 S at 100/100 and 18 S at 20/180.
+        assert asymptotic_p_value(0.02, 100, 100, 3) == pytest.approx(
+            asymptotic_p_value(0.02 * 50 / 18, 20, 180, 3), rel=1e-12
+        )
+
+    def test_depth_one_is_the_erfc_closed_form(self):
+        # At depth 1 (r = 3) the one contrast is 2 b_0(U) - 1 with
+        # b_0(u) = (1 - u)^2 (1 + 2u), whose square integrates to 13/35, so
+        # the limit is w chi2_1 with w = 4 * 13/35 - 1 = 17/35.
+        w = 17 / 35
+        for s in (1e-4, 0.002, 0.01, 0.03, 0.08):
+            x = 300 * 200 / 500 * s
+            want = math.erfc(math.sqrt(x / (2 * w)))
+            assert abs(asymptotic_p_value(s, 300, 200, 1) - want) <= 1e-9
+
     def test_huge_statistic_hits_floor(self):
-        cfg = AsymptoticConfig(0.5, np.eye(6), 100, 1000)
-        assert asymptotic_p_value(1e9, 50, 50, cfg, draws=2000, seed=0) == 1 / 2001
+        assert asymptotic_p_value(1e9, 50, 50, 3) == 0.0
+
+    def test_nonpositive_statistic_gives_one(self):
+        assert asymptotic_p_value(0.0, 50, 50, 3) == 1.0
+        assert asymptotic_p_value(-0.3, 50, 50, 2) == 1.0
+
+    def test_non_finite_statistic_raises(self):
+        with pytest.raises(ValueError):
+            asymptotic_p_value(float("nan"), 50, 50, 3)
 
     def test_agrees_with_monte_carlo_table(self):
         # Cross-method consistency at moderate size.
         m = n = 1000
         depth = 3
-        cfg = estimate_sigma(m, n, depth, reps=3000, seed=11)
         table = build_null_table(m, n, depth, 10_000, seed=12)
         for stat in np.quantile(table.stats, [0.5, 0.8, 0.9, 0.95, 0.99]):
             mc = p_value(float(stat), table)
-            asym = asymptotic_p_value(float(stat), m, n, cfg, draws=40_000, seed=13)
+            asym = asymptotic_p_value(float(stat), m, n, depth)
             assert abs(mc - asym) < 0.02
 
 
