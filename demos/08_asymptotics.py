@@ -46,11 +46,19 @@ spec = AlternativeSpec(
 )
 mu = alternative_mu(spec, depth)
 half = (1 << depth) - 1
+mu_x, mu_y = mu[:half], mu[half:]
 print(f"mu under {spec.label}:")
-print(f"  x-block: {np.round(mu[:half], 4)}")
-print(f"  y-block: {np.round(mu[half:], 4)}")
+print(f"  x-block: {np.round(mu_x, 4)}")
+print(f"  y-block: {np.round(mu_y, 4)}")
 print()
-print("The blocks mirror each other with opposite signs: whatever pattern x")
-print("shows against y's cells, y shows the reverse against x's, which is")
-print("exactly why S = -(s_x . s_y) grows under the alternative.")
-print(f"population statistic -(mu_x . mu_y) = {-(mu[:half] @ mu[half:]):.4f}")
+# Rows are numbered as in the interpretation layer: 1-based Sylvester rows,
+# 2 .. 2**depth, since row 1 is the constant row.
+rows = np.arange(2, half + 2)
+flipped = np.sign(mu_x) != np.sign(mu_y)
+terms = -mu_x * mu_y
+print(f"rows whose sign flips between the blocks: {rows[flipped].tolist()}")
+print(f"rows whose sign stays the same:           {rows[~flipped].tolist()}")
+print("S = -(s_x . s_y) still grows under the alternative, because the flipped")
+print(f"rows add {terms[flipped].sum():.4f} to it and outweigh the "
+      f"{-terms[~flipped].sum():.4f} the other rows take away.")
+print(f"population statistic -(mu_x . mu_y) = {terms.sum():.4f}")

@@ -8,8 +8,8 @@ documented header.  Timing is left to ``benchmark/``, which measures the
 package cold, one process per workload.
 
 Exit codes: 0 success, 2 usage, 3 parse failure, 4 precondition violation,
-5 I/O failure.  Failures print a machine-readable JSON error object to
-stderr.
+5 I/O failure.  Failures, usage errors included, print a machine-readable
+JSON error object to stderr.
 """
 
 import argparse
@@ -51,163 +51,131 @@ EXIT_IO = 5
 _DEFAULT_CACHE = os.path.join(os.path.expanduser("~"), ".cache", "august")
 
 
-def _cache_dir(args):
-    if args.cache_dir:
-        return args.cache_dir
-    return os.environ.get("AUGUST_CACHE_DIR", _DEFAULT_CACHE)
-
-
 def _parse_float(text, row, column):
     try:
         value = float(text)
     except ValueError:
-        raise ParseError(
-            f"row {row}, column {column}: {text!r} is not a number",
-            row=row, column=column,
-        ) from None
+        value = np.nan
     if not np.isfinite(value):
         raise ParseError(
-            f"row {row}, column {column}: {text!r} is not finite",
+            f"row {row}, column {column}: {text!r} is not a finite number",
             row=row, column=column,
         )
     return value
 
 
-def _read_rows(path):
+def _read_rows(path, labelled, width):
+    """Parse ``path`` into ``(values, labels)``.
+
+    Every row holds ``width`` numbers (the first row's count when ``width``
+    is None), followed by a group label when ``labelled``; ``labels`` lists
+    each row's label, or is empty.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return [line.rstrip("\n") for line in fh if line.strip() != ""]
+            lines = [line for line in fh if line.strip() != ""]
     except OSError as exc:
         raise IOFailure(f"could not read {path}: {exc}") from exc
-
-
-def _split_by_label(rows, path, width):
-    """Parse rows of ``width`` floats plus a trailing label; group by label."""
-    groups = {}
-    order = []
-    for number, line in enumerate(rows, start=1):
-        fields = [f.strip() for f in line.split(",")]
-        if len(fields) != width + 1:
-            raise ParseError(
-                f"{path}: row {number} has {len(fields)} fields, "
-                f"expected {width + 1}",
-                row=number,
-            )
-        values = [
-            _parse_float(fields[i], number, i + 1) for i in range(width)
-        ]
-        label = fields[width]
-        if label not in groups:
-            groups[label] = []
-            order.append(label)
-        groups[label].append(values)
-    if len(order) != 2:
-        raise ParseError(
-            f"{path}: expected exactly two group labels, found {order}"
-        )
-    first = np.asarray(groups[order[0]], dtype=np.float64)
-    second = np.asarray(groups[order[1]], dtype=np.float64)
-    return first, second, order
-
-
-def _read_plain(path, width=None):
-    """Parse a label-free file of fixed-width numeric rows."""
-    rows = _read_rows(path)
-    if not rows:
+    if not lines:
         raise ParseError(f"{path} contains no data rows")
-    parsed = []
-    for number, line in enumerate(rows, start=1):
+    values, labels = [], []
+    for number, line in enumerate(lines, start=1):
         fields = [f.strip() for f in line.split(",")]
         if width is None:
-            width = len(fields)
-        if len(fields) != width:
+            width = max(len(fields) - labelled, 1)
+        if len(fields) != width + labelled:
             raise ParseError(
-                f"{path}: row {number} has {len(fields)} fields, expected {width}",
+                f"{path}: row {number} has {len(fields)} fields, "
+                f"expected {width + labelled}",
                 row=number,
             )
-        parsed.append(
-            [_parse_float(fields[i], number, i + 1) for i in range(width)]
-        )
-    return np.asarray(parsed, dtype=np.float64)
+        if labelled:
+            labels.append(fields.pop())
+        values.append([
+            _parse_float(text, number, column)
+            for column, text in enumerate(fields, start=1)
+        ])
+    return np.asarray(values, dtype=np.float64), labels
 
 
 def _load_samples(paths, multivariate):
-    """Return (x, y, labels) from one labeled file or two plain files."""
+    """Return (x, y, labels) from one labelled file or two plain files.
+
+    Univariate data holds one value per row in either layout.
+    """
+    if len(paths) > 2:
+        raise argparse.ArgumentError(
+            None, f"expected one labelled file or two plain files, got {len(paths)}"
+        )
+    width = None if multivariate else 1
     if len(paths) == 1:
-        rows = _read_rows(paths[0])
-        if not rows:
-            raise ParseError(f"{paths[0]} contains no data rows")
-        width = len(rows[0].split(",")) - 1
-        if width < 1:
-            raise ParseError(f"{paths[0]}: rows need at least a value and a label")
-        if not multivariate and width != 1:
+        rows, tags = _read_rows(paths[0], True, width)
+        labels = list(dict.fromkeys(tags))
+        if len(labels) != 2:
             raise ParseError(
-                f"{paths[0]}: univariate data must be (value, label) rows"
+                f"{paths[0]}: expected exactly two group labels, found {labels}"
             )
-        first, second, labels = _split_by_label(rows, paths[0], width)
+        tags = np.asarray(tags)
+        first, second = rows[tags == labels[0]], rows[tags == labels[1]]
     else:
-        first = _read_plain(paths[0])
-        second = _read_plain(paths[1], width=first.shape[1])
-        labels = [os.path.basename(paths[0]), os.path.basename(paths[1])]
+        first, _ = _read_rows(paths[0], False, width)
+        second, _ = _read_rows(paths[1], False, first.shape[1])
+        labels = [os.path.basename(path) for path in paths]
     if not multivariate:
         first, second = first.ravel(), second.ravel()
     return first, second, labels
 
 
 def _plain(value):
-    if isinstance(value, np.ndarray):
-        return [_plain(v) for v in value.tolist()]
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(v) for v in value]
-    return value
+    """``json.dumps`` hook: numpy arrays and scalars as Python lists and numbers."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
-def _write_json(payload, path):
-    text = json.dumps(_plain(payload), indent=2) + "\n"
+def _json(payload):
+    return json.dumps(payload, indent=2, default=_plain) + "\n"
+
+
+def _write(text, path):
+    """Write ``text`` to ``path``, or to stdout when ``path`` is None."""
     if path is None:
         sys.stdout.write(text)
         return
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     except OSError as exc:
-        raise IOFailure(f"could not write report to {path}: {exc}") from exc
-
-
-def _write_csv(header, rows, path):
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    if path is None:
-        sys.stdout.write(buffer.getvalue())
-        return
-    try:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buffer.getvalue())
-    except OSError as exc:
-        raise IOFailure(f"could not write CSV to {path}: {exc}") from exc
+        raise IOFailure(f"could not write {path}: {exc}") from exc
 
 
 def _tie_policy(args):
     return TiePolicy(mode=args.ties, seed=args.seed)
 
 
-def _config_echo(args, skip=("func",)):
+def _config_echo(args):
     return {
         k: v for k, v in sorted(vars(args).items())
-        if k not in skip and not k.startswith("_")
+        if k != "func" and not k.startswith("_")
     }
 
 
-def _effective_alpha(args):
-    return args.alpha / args.bonferroni
+def _decision(args, pval):
+    """The ``alpha``, ``effective_alpha`` and ``decision`` report keys."""
+    effective = args.alpha / args.bonferroni
+    return {
+        "alpha": args.alpha,
+        "effective_alpha": effective,
+        "decision": "reject" if pval <= effective else "fail-to-reject",
+    }
+
+
+def _null_table(args, m, n, generator="uniform"):
+    """Return ``(table, cache_hit, path)`` for the null table of this key."""
+    cache = args.cache_dir or os.environ.get("AUGUST_CACHE_DIR", _DEFAULT_CACHE)
+    key = (m, n, args.depth, args.sims, args.seed, generator)
+    table, hit = cached_null_table(*key, cache)
+    return table, hit, null_table_path(cache, *key)
 
 
 def cmd_test(args):
@@ -215,24 +183,17 @@ def cmd_test(args):
     result = august_plus(x, y, args.depth, _tie_policy(args))
     table_info = None
     if args.pvalue_method == "montecarlo":
-        table, hit = cached_null_table(
-            x.size, y.size, args.depth, args.sims, args.seed, "uniform",
-            _cache_dir(args),
-        )
+        table, hit, path = _null_table(args, x.size, y.size)
         pval = p_value(result.statistic, table)
         table_info = {
             "sims": table.sims,
             "seed": table.seed,
             "generator_tag": table.generator_tag,
             "cache_hit": hit,
-            "path": null_table_path(
-                _cache_dir(args), table.m, table.n, table.depth, table.sims,
-                table.seed, table.generator_tag,
-            ),
+            "path": path,
         }
     else:
         pval = asymptotic_p_value(result.statistic, x.size, y.size, args.depth)
-    effective = _effective_alpha(args)
     report = {
         "command": "test",
         "labels": labels,
@@ -242,9 +203,7 @@ def cmd_test(args):
         "statistic": result.statistic,
         "p_value": pval,
         "pvalue_method": args.pvalue_method,
-        "alpha": args.alpha,
-        "effective_alpha": effective,
-        "decision": "reject" if pval <= effective else "fail-to-reject",
+        **_decision(args, pval),
         "s_x": result.s_x,
         "s_y": result.s_y,
         "p_x": result.p_x,
@@ -253,7 +212,7 @@ def cmd_test(args):
         "null_table": table_info,
         "config": _config_echo(args),
     }
-    _write_json(report, args.report)
+    _write(_json(report), args.report)
     return EXIT_OK
 
 
@@ -274,27 +233,24 @@ def cmd_test_multi(args):
         x, y, args.depth, args.permutations, args.seed,
         _tie_policy(args), args.ridge,
     )
-    effective = _effective_alpha(args)
     report = {
         "command": "test-multi",
         "labels": labels,
-        "m": int(x.shape[0]),
-        "n": int(y.shape[0]),
-        "dimension": int(x.shape[1]),
+        "m": x.shape[0],
+        "n": y.shape[0],
+        "dimension": x.shape[1],
         "depth": args.depth,
         "statistic": outcome.statistic,
         "p_value": outcome.p_value,
         "pvalue_method": "permutation",
         "permutations": outcome.permutations,
-        "alpha": args.alpha,
-        "effective_alpha": effective,
-        "decision": "reject" if outcome.p_value <= effective else "fail-to-reject",
+        **_decision(args, outcome.p_value),
         "max_branch": outcome.max_branch,
         "branch_x": _august_result_dict(outcome.branch_x),
         "branch_y": _august_result_dict(outcome.branch_y),
         "config": _config_echo(args),
     }
-    _write_json(report, args.report)
+    _write(_json(report), args.report)
     return EXIT_OK
 
 
@@ -325,19 +281,12 @@ def cmd_interpret(args):
         ],
         "config": _config_echo(args),
     }
-    sys.stdout.write(json.dumps(_plain(summary), indent=2) + "\n")
+    _write(_json(summary), None)
     return EXIT_OK
 
 
 def cmd_null_table(args):
-    table, hit = cached_null_table(
-        args.m, args.n, args.depth, args.sims, args.seed, args.generator,
-        _cache_dir(args),
-    )
-    path = null_table_path(
-        _cache_dir(args), table.m, table.n, table.depth, table.sims,
-        table.seed, table.generator_tag,
-    )
+    table, hit, path = _null_table(args, args.m, args.n, args.generator)
     report = {
         "command": "null-table",
         "path": path,
@@ -349,17 +298,15 @@ def cmd_null_table(args):
         "seed": table.seed,
         "generator_tag": table.generator_tag,
         "quantiles": {
-            "0.90": float(np.quantile(table.stats, 0.90)),
-            "0.95": float(np.quantile(table.stats, 0.95)),
-            "0.99": float(np.quantile(table.stats, 0.99)),
+            q: np.quantile(table.stats, float(q)) for q in ("0.90", "0.95", "0.99")
         },
     }
-    _write_json(report, args.report)
+    _write(_json(report), args.report)
     return EXIT_OK
 
 
 def _rejection_rate(test, gen_x, gen_y, args):
-    """Share of replicates whose nested p-value ``test(x, y, seed)`` is <= alpha.
+    """Share of replicates whose permutation test ``test`` has p <= alpha.
 
     Replicate i draws its pair from power-trial stream i and the nested
     test's seed from nested-test stream i.
@@ -371,22 +318,15 @@ def _rejection_rate(test, gen_x, gen_y, args):
         )
         for pair in zip(xs, ys)
     )
-    rejections = sum(
-        test(x, y, _seeds.nested_seed(args.seed, i)) <= args.alpha
-        for i, (x, y) in enumerate(pairs)
-    )
+    rejections = 0
+    for i, (x, y) in enumerate(pairs):
+        seed = _seeds.nested_seed(args.seed, i)
+        if test == "august-multi":
+            pval = permutation_p_value(x, y, args.multi_depth, args.permutations, seed)
+        else:
+            pval = baseline_permutation_test(test, x, y, args.permutations, seed).p_value
+        rejections += pval <= args.alpha
     return rejections / args.reps
-
-
-def _nested_test(test, args):
-    """The permutation test ``(x, y, seed) -> p-value`` that ``test`` names."""
-    if test == "august-multi":
-        return lambda x, y, seed: permutation_p_value(
-            x, y, args.multi_depth, args.permutations, seed
-        )
-    return lambda x, y, seed: baseline_permutation_test(
-        test, x, y, args.permutations, seed
-    ).p_value
 
 
 def _family_tests(family, tests):
@@ -407,12 +347,17 @@ def _family_tests(family, tests):
 
 
 def cmd_power(args):
+    # power_simulation's floor, held for every test before any work starts.
+    if args.reps < 100:
+        raise ValueError("reps must be at least 100")
     names = args.families.split(",") if args.families else sorted(UNIVARIATE_FAMILIES)
     tests = args.tests.split(",")
     families = [get_family(name.strip()) for name in names]
     plans = [(family, _family_tests(family, tests)) for family in families]
     table = None
-    rows = []
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["family", "parameter", "test", "power"])
     for family, family_tests in plans:
         grid = (
             [float(p) for p in args.params.split(",")]
@@ -423,38 +368,54 @@ def cmd_power(args):
             for test in family_tests:
                 if test == "august":
                     if table is None:  # one null table serves the whole grid
-                        table, _ = cached_null_table(
-                            args.m, args.n, args.depth, args.sims, args.seed,
-                            "uniform", _cache_dir(args),
-                        )
+                        table, _, _ = _null_table(args, args.m, args.n)
                     power = power_simulation(
                         family.null_sampler, gen_y, args.m, args.n, args.depth,
                         args.alpha, args.reps, args.seed, null_table=table,
                     )
                 else:
-                    power = _rejection_rate(
-                        _nested_test(test, args), family.null_sampler, gen_y, args
-                    )
-                rows.append([family.name, param, test, power])
-    _write_csv(["family", "parameter", "test", "power"], rows, args.report)
+                    power = _rejection_rate(test, family.null_sampler, gen_y, args)
+                writer.writerow([family.name, param, test, power])
+    _write(out.getvalue(), args.report)
     return EXIT_OK
 
 
+def _fraction(text):
+    try:
+        value = float(text)
+    except ValueError:
+        value = np.nan
+    if not 0 < value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a number in (0, 1)")
+    return value
+
+
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
+    return value
+
+
 def _add_common(parser, depth_default):
-    """The options every subcommand reads: depth, seed and report path."""
+    """The options every subcommand reads: depth and seed."""
     parser.add_argument("--depth", type=int, default=depth_default,
                         help="binary resolution d")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--report", default=None, help="output path (default stdout)")
 
 
 # Options that only some subcommands read; each subcommand names its own.
 _OPTIONS = {
-    "--alpha": dict(type=float, default=0.05),
+    "data": dict(nargs="+", help="one labelled CSV or exactly two plain CSVs"),
+    "--report": dict(help="output path (default stdout)"),
+    "--alpha": dict(type=_fraction, default=0.05, help="significance level in (0, 1)"),
     "--ties": dict(choices=("error", "jitter"), default="error"),
     "--cache-dir": dict(help="null-table cache (or env AUGUST_CACHE_DIR)"),
-    "--bonferroni": dict(type=int, default=1, metavar="K",
-                         help="divide alpha by K for multi-test workflows"),
+    "--bonferroni": dict(type=_positive_int, default=1, metavar="K",
+                         help="divide alpha by K >= 1 for multi-test workflows"),
 }
 
 
@@ -463,8 +424,15 @@ def _add_options(parser, *flags):
         parser.add_argument(flag, **_OPTIONS[flag])
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise, so that ``main`` reports them like any other."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="august",
         description="Distribution-free two-sample testing with interpretable "
                     "binary-expansion symmetry statistics.",
@@ -473,9 +441,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("test", help="univariate two-sample test")
-    p.add_argument("data", nargs="+", help="one labeled CSV or two plain CSVs")
     _add_common(p, depth_default=3)
-    _add_options(p, "--alpha", "--ties", "--cache-dir", "--bonferroni")
+    _add_options(p, "data", "--report", "--alpha", "--ties", "--cache-dir",
+                 "--bonferroni")
     p.add_argument("--pvalue-method", choices=("montecarlo", "asymptotic"),
                    default="montecarlo",
                    help="a cached null table of --sims statistics, or the "
@@ -485,22 +453,24 @@ def build_parser():
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("test-multi", help="multivariate two-sample test")
-    p.add_argument("data", nargs="+")
     _add_common(p, depth_default=2)
-    _add_options(p, "--alpha", "--ties", "--bonferroni")
+    _add_options(p, "data", "--report", "--alpha", "--ties", "--bonferroni")
     p.add_argument("--permutations", type=int, default=999)
     p.add_argument("--ridge", type=float, default=0.0)
     p.set_defaults(func=cmd_test_multi)
 
     p = sub.add_parser("interpret", help="emit plot data explaining a rejection")
-    p.add_argument("data", nargs="+")
     _add_common(p, depth_default=3)
+    _add_options(p, "data")
+    p.add_argument("--report", help="plot-data path (default plot-data.json); "
+                                    "the summary goes to stdout")
     # No null table is read here; --cache-dir stays so that callers can pass
     # the same options to every univariate command.
     _add_options(p, "--ties", "--cache-dir")
     p.add_argument("--reference", choices=("x", "y"), required=True,
                    help="which sample's quantiles define the regions")
-    p.add_argument("--top-k", type=int, default=2)
+    p.add_argument("--top-k", type=_positive_int, default=2,
+                   help="contrasts to report, at least 1")
     p.add_argument("--bins", type=int, default=32)
     p.set_defaults(func=cmd_interpret)
 
@@ -508,7 +478,7 @@ def build_parser():
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     _add_common(p, depth_default=3)
-    _add_options(p, "--cache-dir")
+    _add_options(p, "--report", "--cache-dir")
     p.add_argument("--sims", type=int, default=10_000)
     p.add_argument("--generator", choices=("uniform", "normal", "cauchy"),
                    default="uniform")
@@ -516,7 +486,7 @@ def build_parser():
 
     p = sub.add_parser("power", help="power study over named families")
     _add_common(p, depth_default=3)
-    _add_options(p, "--alpha", "--cache-dir")
+    _add_options(p, "--report", "--alpha", "--cache-dir")
     p.add_argument("--families", default=None,
                    help=f"comma list from {sorted(UNIVARIATE_FAMILIES)} "
                         f"and {sorted(BIVARIATE_FAMILIES)}")
@@ -526,7 +496,7 @@ def build_parser():
                         "bivariate families run august-multi")
     p.add_argument("--m", type=int, default=128)
     p.add_argument("--n", type=int, default=128)
-    p.add_argument("--reps", type=int, default=200)
+    p.add_argument("--reps", type=int, default=200, help="at least 100")
     p.add_argument("--sims", type=int, default=2000,
                    help="null-table size for the montecarlo p-values")
     p.add_argument("--permutations", type=int, default=199)
@@ -536,31 +506,28 @@ def build_parser():
     return parser
 
 
-def _emit_error(exc):
-    payload = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-    if isinstance(exc, ParseError):
-        payload["error"]["row"] = exc.row
-        payload["error"]["column"] = exc.column
-    sys.stderr.write(json.dumps(payload) + "\n")
+# Exit code per failure, tried in order: ParseError and IOFailure are
+# AugustErrors, so they come before the catch-all precondition row.
+_EXIT_CODES = (
+    (argparse.ArgumentError, EXIT_USAGE),
+    (ParseError, EXIT_PARSE),
+    ((IOFailure, OSError), EXIT_IO),
+    ((AugustError, ValueError), EXIT_PRECONDITION),
+)
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if exc.code is not None else EXIT_USAGE
-    try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except ParseError as exc:
-        _emit_error(exc)
-        return EXIT_PARSE
-    except (IOFailure, OSError) as exc:
-        _emit_error(exc)
-        return EXIT_IO
-    except (AugustError, ValueError) as exc:
-        _emit_error(exc)
-        return EXIT_PRECONDITION
+    except SystemExit as exc:  # --help and --version
+        return exc.code
+    except (argparse.ArgumentError, AugustError, OSError, ValueError) as exc:
+        payload = {"type": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, ParseError):
+            payload.update(row=exc.row, column=exc.column)
+        sys.stderr.write(json.dumps({"error": payload}) + "\n")
+        return next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
 
 
 if __name__ == "__main__":

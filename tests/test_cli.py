@@ -65,18 +65,39 @@ class TestCmdTest:
 
     def test_two_file_layout(self, workdir):
         rng = np.random.default_rng(1)
+        x, y = rng.normal(size=30), rng.normal(size=35)
         fx = str(workdir / "x.csv")
         fy = str(workdir / "y.csv")
-        np.savetxt(fx, rng.normal(size=30))
-        np.savetxt(fy, rng.normal(size=35))
-        report_path = str(workdir / "r.json")
-        code = main([
-            "test", fx, fy, "--depth", "1", "--sims", "200",
-            "--cache-dir", str(workdir / "cache"), "--report", report_path,
-        ])
-        assert code == EXIT_OK
-        report = json.load(open(report_path))
-        assert report["m"] == 30 and report["n"] == 35
+        labelled = str(workdir / "xy.csv")
+        np.savetxt(fx, x, fmt="%.17g")
+        np.savetxt(fy, y, fmt="%.17g")
+        write_labeled(labelled, x.tolist(), y.tolist())
+        reports = []
+        for data in ([fx, fy], [labelled]):
+            report_path = str(workdir / f"r{len(data)}.json")
+            code = main(["test", *data, "--depth", "1", "--sims", "200",
+                         "--cache-dir", str(workdir / "cache"),
+                         "--report", report_path])
+            assert code == EXIT_OK
+            reports.append(json.load(open(report_path)))
+        two_files, one_file = reports
+        assert two_files["m"] == 30 and two_files["n"] == 35
+        for key in ("statistic", "p_value", "s_x"):
+            assert two_files[key] == one_file[key], key
+
+    def test_two_column_plain_files_are_parse_error(self, workdir, capsys):
+        # Univariate data holds one value per row in either layout; wider
+        # rows are refused, not flattened into a sample twice as large.
+        rng = np.random.default_rng(12)
+        fx, fy = str(workdir / "x.csv"), str(workdir / "y.csv")
+        np.savetxt(fx, rng.normal(size=(40, 2)), delimiter=",")
+        np.savetxt(fy, rng.normal(size=(45, 2)), delimiter=",")
+        code = main(["test", fx, fy, "--depth", "1", "--sims", "100",
+                     "--cache-dir", str(workdir / "cache")])
+        assert code == EXIT_PARSE
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ParseError" and err["row"] == 1
+        assert not (workdir / "cache").exists()
 
     def test_malformed_cell_is_parse_error(self, workdir, capsys):
         data = str(workdir / "bad.csv")
@@ -360,6 +381,24 @@ class TestCmdPower:
         # Refused before any simulation: no table, no report.
         assert not out.exists() and not (workdir / "cache").exists()
 
+    @pytest.mark.parametrize("families,tests", [
+        ("null", "august"),
+        ("null", "ks"),
+        ("null", "energy"),
+        ("mvn-location", "august-multi"),
+    ])
+    @pytest.mark.parametrize("reps", ["0", "99"])
+    def test_reps_floor_holds_for_every_test(self, families, tests, reps,
+                                             workdir, capsys):
+        out = workdir / "power.csv"
+        code = main(["power", "--families", families, "--tests", tests,
+                     "--reps", reps, "--params", "0.5",
+                     "--cache-dir", str(workdir / "cache"), "--report", str(out)])
+        assert code == EXIT_PRECONDITION
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["message"] == "reps must be at least 100"
+        assert not out.exists() and not (workdir / "cache").exists()
+
     def test_unknown_family_is_precondition_error(self, workdir):
         assert main(["power", "--families", "nope"]) == EXIT_PRECONDITION
 
@@ -377,6 +416,29 @@ class TestOptions:
     ])
     def test_unread_option_is_usage_error(self, argv):
         assert main(argv) == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [
+        ["test", "d.csv", "--bonferroni", "0"],
+        ["test", "d.csv", "--bonferroni", "-1"],
+        ["test-multi", "d.csv", "--bonferroni", "0"],
+        ["test", "d.csv", "--alpha", "1.5"],
+        ["test", "d.csv", "--alpha", "0"],
+        ["test", "d.csv", "--alpha", "1"],
+        ["test", "d.csv", "--alpha", "nan"],
+        ["power", "--alpha", "-0.1"],
+        ["interpret", "d.csv", "--reference", "y", "--top-k", "-1"],
+        ["interpret", "d.csv", "--reference", "y", "--top-k", "0"],
+        ["test", "x.csv", "y.csv", "z.csv"],
+        ["test-multi", "x.csv", "y.csv", "z.csv"],
+        ["interpret", "x.csv", "y.csv", "z.csv", "--reference", "y"],
+    ])
+    def test_refused_argv_is_usage_error(self, argv, workdir, monkeypatch, capsys):
+        # Refused before any file is read: the named files need not exist.
+        monkeypatch.chdir(workdir)
+        assert main(argv) == EXIT_USAGE
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "ArgumentError" and err["message"]
+        assert os.listdir(workdir) == []
 
     def test_benchmark_argv_shapes_still_run(self, workdir):
         # The option sets that benchmark/workloads.py passes: --seed and
@@ -455,6 +517,59 @@ class TestReportKeys:
             "bins", "cache_dir", "data", "depth", "reference", "report", "seed",
             "subcommand", "ties", "top_k",
         }
+
+
+class TestWriter:
+    PAYLOAD = {
+        "float": np.float64(0.1),
+        "int": np.int64(7),
+        "flag": np.bool_(True),
+        "vector": np.array([0.5, -1.0, 1 / 3]),
+        "matrix": np.arange(4, dtype=np.int64).reshape(2, 2),
+        "none": None,
+        "nested": {"inner": np.array([True, False]), "label": "a"},
+    }
+    EXPECTED = """{
+  "float": 0.1,
+  "int": 7,
+  "flag": true,
+  "vector": [
+    0.5,
+    -1.0,
+    0.3333333333333333
+  ],
+  "matrix": [
+    [
+      0,
+      1
+    ],
+    [
+      2,
+      3
+    ]
+  ],
+  "none": null,
+  "nested": {
+    "inner": [
+      true,
+      false
+    ],
+    "label": "a"
+  }
+}
+"""
+
+    def test_file_and_stdout_bytes(self, workdir, capsys):
+        path = workdir / "report.json"
+        text = august.cli._json(self.PAYLOAD)
+        august.cli._write(text, str(path))
+        august.cli._write(text, None)
+        assert path.read_bytes() == self.EXPECTED.encode("utf-8")
+        assert capsys.readouterr().out == self.EXPECTED
+
+    def test_unknown_type_is_refused(self):
+        with pytest.raises(TypeError):
+            august.cli._json({"set": {1, 2}})
 
 
 class TestExitCodes:
