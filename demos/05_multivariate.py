@@ -19,7 +19,7 @@ x = rng.standard_normal((m, 2))
 cov_chol = np.array([[1.0, 0.0], [0.75, np.sqrt(1 - 0.75**2)]])
 y = rng.standard_normal((n, 2)) @ cov_chol.T
 
-model = fit_mahalanobis(x, source_label="x")
+model = fit_mahalanobis(x)
 print(f"fitted mean (x):       {np.round(model.mean, 3)}")
 print(f"fitted covariance (x): {np.round(model.covariance, 3).tolist()}")
 print(f"distance of the mean from itself: {transform(model.mean[None, :], model)[0]}")

@@ -9,7 +9,7 @@ Two contrasts at m = n = 128, alpha = 0.05:
 
 import numpy as np
 
-from august import baseline_permutation_test, power_simulation
+from august import baseline_permutation_test, build_null_table, power_simulation
 from august._seeds import POWER_TRIAL, replicate_rng
 from august.families import UNIVARIATE_FAMILIES, normal_mixture_sampler
 
@@ -18,10 +18,11 @@ reps = 300
 
 print("normal location shift, power of the test by shift:")
 family = UNIVARIATE_FAMILIES["normal-location"]
+table = build_null_table(m, n, 3, 2000, seed=5)
 for shift in family.default_grid:
     power = power_simulation(
         family.null_sampler, family.alternative(shift),
-        m, n, depth=3, alpha=0.05, reps=reps, seed=5, table_sims=2000,
+        table, alpha=0.05, reps=reps, seed=5,
     )
     bar = "#" * int(40 * power)
     print(f"  shift {shift:4.2f}: {power:5.3f} {bar}")
@@ -31,7 +32,7 @@ print("N(0,1) vs unit-variance bimodal mixture (separation 0.9):")
 mixture = normal_mixture_sampler(0.9)
 august_power = power_simulation(
     lambda rng, size: rng.standard_normal(size), mixture,
-    m, n, depth=3, alpha=0.05, reps=reps, seed=9, table_sims=2000,
+    build_null_table(m, n, 3, 2000, seed=9), alpha=0.05, reps=reps, seed=9,
 )
 ks_rejections = 0
 for i in range(reps):

@@ -34,7 +34,6 @@ from .inference import (
     asymptotic_p_value,
     cached_null_table,
     estimate_sigma,  # noqa: F401 -- unused here; benchmark/tracer.py wraps this name
-    null_table_path,
     p_value,
     power_simulation,
 )
@@ -173,9 +172,7 @@ def _decision(args, pval):
 def _null_table(args, m, n, generator="uniform"):
     """Return ``(table, cache_hit, path)`` for the null table of this key."""
     cache = args.cache_dir or os.environ.get("AUGUST_CACHE_DIR", _DEFAULT_CACHE)
-    key = (m, n, args.depth, args.sims, args.seed, generator)
-    table, hit = cached_null_table(*key, cache)
-    return table, hit, null_table_path(cache, *key)
+    return cached_null_table(m, n, args.depth, args.sims, args.seed, generator, cache)
 
 
 def cmd_test(args):
@@ -353,25 +350,25 @@ def cmd_power(args):
     names = args.families.split(",") if args.families else sorted(UNIVARIATE_FAMILIES)
     tests = args.tests.split(",")
     families = [get_family(name.strip()) for name in names]
-    plans = [(family, _family_tests(family, tests)) for family in families]
-    table = None
+    # Every sampler is made before any simulation, so a refused parameter
+    # leaves no table and no partial work behind.
+    plans = [
+        (family, _family_tests(family, tests),
+         [(p, family.alternative(p)) for p in args.params or family.default_grid])
+        for family in families
+    ]
+    if any("august" in family_tests for _, family_tests, _ in plans):
+        table, _, _ = _null_table(args, args.m, args.n)  # serves every grid point
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["family", "parameter", "test", "power"])
-    for family, family_tests in plans:
-        grid = (
-            [float(p) for p in args.params.split(",")]
-            if args.params else list(family.default_grid)
-        )
-        for param in grid:
-            gen_y = family.alternative(param)
+    for family, family_tests, grid in plans:
+        for param, gen_y in grid:
             for test in family_tests:
                 if test == "august":
-                    if table is None:  # one null table serves the whole grid
-                        table, _, _ = _null_table(args, args.m, args.n)
                     power = power_simulation(
-                        family.null_sampler, gen_y, args.m, args.n, args.depth,
-                        args.alpha, args.reps, args.seed, null_table=table,
+                        family.null_sampler, gen_y, table,
+                        args.alpha, args.reps, args.seed,
                     )
                 else:
                     power = _rejection_rate(test, family.null_sampler, gen_y, args)
@@ -380,24 +377,27 @@ def cmd_power(args):
     return EXIT_OK
 
 
-def _fraction(text):
-    try:
-        value = float(text)
-    except ValueError:
-        value = np.nan
-    if not 0 < value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not a number in (0, 1)")
-    return value
+def _option_type(convert, valid, wanted):
+    """An argparse type: ``convert(text)``, a usage error unless ``valid``."""
+
+    def parse(text):
+        try:
+            value = convert(text)
+        except ValueError:
+            value = None
+        if value is None or not valid(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {wanted}")
+        return value
+
+    return parse
 
 
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer >= 1")
-    return value
+_fraction = _option_type(float, lambda v: 0 < v < 1, "a number in (0, 1)")
+_positive_int = _option_type(int, lambda v: v >= 1, "an integer >= 1")
+_finite_floats = _option_type(
+    lambda text: [float(field) for field in text.split(",")],
+    lambda v: np.isfinite(v).all(), "a comma list of finite numbers",
+)
 
 
 def _add_common(parser, depth_default):
@@ -471,7 +471,8 @@ def build_parser():
                    help="which sample's quantiles define the regions")
     p.add_argument("--top-k", type=_positive_int, default=2,
                    help="contrasts to report, at least 1")
-    p.add_argument("--bins", type=int, default=32)
+    p.add_argument("--bins", type=_positive_int, default=32,
+                   help="histogram bins, at least 1")
     p.set_defaults(func=cmd_interpret)
 
     p = sub.add_parser("null-table", help="build or inspect a cached null table")
@@ -490,7 +491,8 @@ def build_parser():
     p.add_argument("--families", default=None,
                    help=f"comma list from {sorted(UNIVARIATE_FAMILIES)} "
                         f"and {sorted(BIVARIATE_FAMILIES)}")
-    p.add_argument("--params", default=None, help="override parameter grid")
+    p.add_argument("--params", type=_finite_floats, default=None,
+                   help="comma list of finite numbers: override parameter grid")
     p.add_argument("--tests", default="august",
                    help="comma list of august,ks,energy (univariate); "
                         "bivariate families run august-multi")

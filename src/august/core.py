@@ -57,19 +57,16 @@ class TiePolicy:
 
     The test's theory assumes continuous distributions, so the default is
     to refuse tied data outright.  ``jitter`` adds seeded uniform noise at
-    a scale strictly below the minimal nonzero gap of the combined sample,
-    which preserves every non-tied rank.
+    half the minimal nonzero gap of the combined sample, which preserves
+    every non-tied rank.
     """
 
     mode: str = "error"
-    jitter_scale: float = None
     seed: int = 0
 
     def __post_init__(self):
         if self.mode not in ("error", "jitter"):
             raise ValueError(f"unknown tie mode {self.mode!r}")
-        if self.jitter_scale is not None and self.jitter_scale <= 0:
-            raise ValueError("jitter_scale must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -105,19 +102,10 @@ def _resolve_ties(x, y, policy):
             "policy to break them"
         )
     gaps = diffs[diffs > 0]
-    if gaps.size == 0 and policy.jitter_scale is None:
-        raise TiesPresent(
-            "all values identical; jitter needs an explicit jitter_scale"
-        )
-    min_gap = gaps.min() if gaps.size else np.inf
-    scale = policy.jitter_scale if policy.jitter_scale is not None else min_gap / 2
-    if scale >= min_gap:
-        raise ValueError(
-            f"jitter_scale {scale} must be below the minimal nonzero gap "
-            f"{min_gap} of the combined sample"
-        )
+    if gaps.size == 0:
+        raise TiesPresent("all values identical; jitter has no gap to scale by")
     rng = _seeds.replicate_rng(policy.seed, _seeds.TIE_JITTER)
-    noise = rng.uniform(0.0, scale, combined.size)
+    noise = rng.uniform(0.0, gaps.min() / 2, combined.size)
     jittered = combined + noise
     if not np.diff(np.sort(jittered)).all():
         raise TiesPresent("jitter failed to separate duplicate values")

@@ -21,7 +21,6 @@ __all__ = ["Family", "UNIVARIATE_FAMILIES", "BIVARIATE_FAMILIES", "get_family"]
 class Family:
     name: str
     kind: str  # "univariate" or "bivariate"
-    param_name: str
     default_grid: tuple
     null_sampler: callable
     alternative: callable  # alternative(param) -> sampler(rng, size)
@@ -47,6 +46,17 @@ def normal_mixture_sampler(separation):
     return sample
 
 
+def _scale_sampler(draw):
+    """The alternative ``scale -> draw(rng, size, scale)``, for a scale > 0."""
+
+    def alternative(scale):
+        if not scale > 0.0:
+            raise ValueError("scale must be positive")
+        return lambda rng, size: draw(rng, size, scale)
+
+    return alternative
+
+
 def _standardized_gamma_sampler(skewness):
     def sample(rng, size):
         if skewness == 0.0:
@@ -68,37 +78,37 @@ def _aniso_normal2(rng, size):
 
 UNIVARIATE_FAMILIES = {
     "null": Family(
-        "null", "univariate", "unused", (0.0,),
+        "null", "univariate", (0.0,),
         lambda rng, size: rng.random(size),
         lambda p: lambda rng, size: rng.random(size),
     ),
     "normal-location": Family(
-        "normal-location", "univariate", "shift", (0.0, 0.15, 0.3, 0.45, 0.6),
+        "normal-location", "univariate", (0.0, 0.15, 0.3, 0.45, 0.6),
         _std_normal,
         lambda p: lambda rng, size: rng.standard_normal(size) + p,
     ),
     "laplace-location": Family(
-        "laplace-location", "univariate", "shift", (0.0, 0.15, 0.3, 0.45, 0.6),
+        "laplace-location", "univariate", (0.0, 0.15, 0.3, 0.45, 0.6),
         lambda rng, size: rng.laplace(0.0, 1.0, size),
         lambda p: lambda rng, size: rng.laplace(p, 1.0, size),
     ),
     "laplace-scale": Family(
-        "laplace-scale", "univariate", "scale", (1.0, 1.25, 1.5, 1.75, 2.0),
+        "laplace-scale", "univariate", (1.0, 1.25, 1.5, 1.75, 2.0),
         lambda rng, size: rng.laplace(0.0, 1.0, size),
-        lambda p: lambda rng, size: rng.laplace(0.0, p, size),
+        _scale_sampler(lambda rng, size, p: rng.laplace(0.0, p, size)),
     ),
     "beta-skew": Family(
-        "beta-skew", "univariate", "tilt", (0.0, 0.3, 0.6, 0.9, 1.2),
+        "beta-skew", "univariate", (0.0, 0.3, 0.6, 0.9, 1.2),
         lambda rng, size: rng.beta(2.0, 2.0, size),
         lambda p: lambda rng, size: rng.beta(2.0 + p, 2.0 - p, size),
     ),
     "gamma-skew": Family(
-        "gamma-skew", "univariate", "skewness", (0.0, 0.4, 0.8, 1.2, 1.6),
+        "gamma-skew", "univariate", (0.0, 0.4, 0.8, 1.2, 1.6),
         _std_normal,
         _standardized_gamma_sampler,
     ),
     "normal-mixture": Family(
-        "normal-mixture", "univariate", "separation", (0.0, 0.5, 0.7, 0.85, 0.95),
+        "normal-mixture", "univariate", (0.0, 0.5, 0.7, 0.85, 0.95),
         _std_normal,
         normal_mixture_sampler,
     ),
@@ -107,33 +117,35 @@ UNIVARIATE_FAMILIES = {
 
 BIVARIATE_FAMILIES = {
     "mvn-location": Family(
-        "mvn-location", "bivariate", "center", (0.0, 0.2, 0.4, 0.6),
+        "mvn-location", "bivariate", (0.0, 0.2, 0.4, 0.6),
         _std_normal2,
         lambda p: lambda rng, size: rng.standard_normal((size, 2)) + p,
     ),
     "mvn-scale": Family(
-        "mvn-scale", "bivariate", "scale", (1.0, 1.3, 1.6, 2.0),
+        "mvn-scale", "bivariate", (1.0, 1.3, 1.6, 2.0),
         _std_normal2,
-        lambda p: lambda rng, size: rng.standard_normal((size, 2)) * np.sqrt(p),
+        _scale_sampler(
+            lambda rng, size, p: rng.standard_normal((size, 2)) * np.sqrt(p)
+        ),
     ),
     "mvn-correlation": Family(
-        "mvn-correlation", "bivariate", "cov", (0.0, 0.2, 0.4, 0.6),
+        "mvn-correlation", "bivariate", (0.0, 0.2, 0.4, 0.6),
         _std_normal2,
         lambda p: lambda rng, size: rng.standard_normal((size, 2))
         @ np.array([[1.0, p], [0.0, np.sqrt(1.0 - p**2)]]),
     ),
     "mvn-rotation": Family(
-        "mvn-rotation", "bivariate", "theta", (0.0, 0.15, 0.3, 0.45),
+        "mvn-rotation", "bivariate", (0.0, 0.15, 0.3, 0.45),
         _aniso_normal2,
         lambda p: lambda rng, size: _aniso_normal2(rng, size) @ _rotation(p).T,
     ),
     "lognormal-location": Family(
-        "lognormal-location", "bivariate", "shift", (0.0, 0.1, 0.2, 0.3),
+        "lognormal-location", "bivariate", (0.0, 0.1, 0.2, 0.3),
         lambda rng, size: np.exp(rng.standard_normal((size, 2))),
         lambda p: lambda rng, size: np.exp(rng.standard_normal((size, 2)) + p),
     ),
     "mvn-bimodal": Family(
-        "mvn-bimodal", "bivariate", "separation", (0.0, 0.5, 0.7, 0.9),
+        "mvn-bimodal", "bivariate", (0.0, 0.5, 0.7, 0.9),
         _std_normal2,
         lambda p: lambda rng, size: np.column_stack(
             [rng.standard_normal(size), normal_mixture_sampler(p)(rng, size)]

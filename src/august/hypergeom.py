@@ -4,8 +4,8 @@ The augmented CDF sends a point ``x`` to a length ``2**d`` probability
 vector: coordinate ``k`` is the probability that a size-``r`` subsample of
 the reference sample, drawn without replacement, places its empirical CDF
 value at ``x`` inside the ``k``-th dyadic cell of the unit interval.  With
-``r = 2**q - 1`` every cell covers the same number of attainable ECDF
-values, and the probabilities are plain hypergeometric ratios.
+``r = 2**(d+1) - 1`` every cell covers two attainable ECDF values, and the
+probabilities are plain hypergeometric ratios.
 
 ``cell_probabilities_for_counts`` evaluates them for many counts at once
 from the product form of the hypergeometric pmf, a product of ratios of at
@@ -34,49 +34,40 @@ _SUM_TOL = 1e-12
 # Counts per block of ``cell_probabilities_for_counts``.
 _BLOCK = 2048
 
-# Largest q: C(r, j) for r = 2**11 - 1 = 2047 overflows a float.
-_MAX_Q = 10
+# Largest depth: C(r, j) for r = 2**11 - 1 = 2047 overflows a float.
+_MAX_DEPTH = 9
 
 
 @dataclass(frozen=True)
 class SubsampleConfig:
-    """Depth and subsample-size configuration.
+    """Depth and the subsample size it fixes.
 
-    ``r = 2**q - 1`` guarantees equally many attainable ECDF point masses
-    per dyadic cell for any ``q >= depth``; ``q = depth + 1`` is the
-    empirically recommended default.  ``q`` is at most 10, so the
-    default depth is at most 9.
+    ``r = 2**(depth+1) - 1`` places two attainable ECDF point masses in
+    each of the ``2**depth`` dyadic cells.
     """
 
     depth: int
-    q: int = None
 
     def __post_init__(self):
         if self.depth < 1:
             raise ValueError("depth must be a positive integer")
-        if self.q is None:
-            object.__setattr__(self, "q", self.depth + 1)
-        if self.q < self.depth:
-            raise ValueError("q must be at least depth")
-        if self.q > _MAX_Q:
+        if self.depth > _MAX_DEPTH:
             raise DepthOutOfRange(
-                f"q = {self.q} (depth {self.depth}) exceeds {_MAX_Q}: the "
-                f"binomial weights of r = {self.r} overflow a float"
+                f"depth {self.depth} exceeds {_MAX_DEPTH}: the binomial "
+                f"weights of r = {self.r} overflow a float"
             )
 
     @property
     def r(self):
-        """Subsample size, 2**q - 1."""
-        return (1 << self.q) - 1
+        """Subsample size, 2**(depth+1) - 1."""
+        return (1 << (self.depth + 1)) - 1
 
     @property
     def cells(self):
         return 1 << self.depth
 
-    @property
-    def counts_per_cell(self):
-        """Number of subsample success counts mapped into each cell."""
-        return 1 << (self.q - self.depth)
+    # Number of subsample success counts mapped into each cell.
+    counts_per_cell = 2
 
 
 @dataclass(frozen=True)
@@ -171,9 +162,9 @@ def augmented_cdf(x, y, cfg):
     """Exact hypergeometric cell probabilities of ``x`` against sample ``y``.
 
     Coordinate ``k`` (0-based) is the probability that the number of
-    subsampled points at or below ``x`` falls in cell ``k``'s count range;
-    for the default ``q = depth + 1`` that range is ``{2k, 2k + 1}``.  It
-    is the row of ``cell_probabilities_for_counts`` for ``#(y <= x)``.
+    subsampled points at or below ``x`` falls in cell ``k``'s count range
+    ``{2k, 2k + 1}``.  It is the row of ``cell_probabilities_for_counts``
+    for ``#(y <= x)``.
     """
     y = np.asarray(y, dtype=np.float64).ravel()
     count = int(np.count_nonzero(y <= x))

@@ -4,7 +4,7 @@ The statistic is exactly distribution-free under the null, so one
 Monte-Carlo null table per ``(m, n, depth, sims, seed)`` serves every
 dataset with matching sizes.  Tables are simulated from standard uniforms
 by default (any continuous generator gives the same law), sorted, and can
-be persisted to a binary cache with a JSON sidecar.
+be persisted to a binary cache whose header records the key.
 
 Null tables, ``estimate_sigma`` and ``power_simulation`` all draw their
 replicates from one generator, ``_seeds.replicate_blocks``: replicate i
@@ -25,7 +25,6 @@ population-level mean of the symmetry vectors under a fixed pair of laws
 by Gauss-Legendre quadrature, which powers a-priori power analysis.
 """
 
-import json
 import math
 import os
 import struct
@@ -187,7 +186,7 @@ def estimate_sigma(m, n, depth, reps, seed):
 def _limit(depth):
     """``K`` and its eigenvalues at ``depth``, read-only, built once per depth.
 
-    ``SubsampleConfig`` admits depths 1 to 9, so the cache holds at most nine.
+    ``SubsampleConfig`` caps the depth at 9, so the cache holds at most nine.
 
     ``M_kl = E[b_k(U) b_l(U)]`` sums ``C(r,j) C(r,i) B(j+i+1, 2r-j-i+1)``
     over the counts j of cell k and i of cell l, and ``K = H M H^T`` with
@@ -366,35 +365,21 @@ def alternative_mu(spec, depth, quadrature_nodes=128):
     return fine
 
 
-def power_simulation(
-    gen_x,
-    gen_y,
-    m,
-    n,
-    depth,
-    alpha,
-    reps,
-    seed,
-    null_table=None,
-    table_sims=2000,
-):
+def power_simulation(gen_x, gen_y, table, alpha, reps, seed):
     """Fraction of replicates rejected at level alpha.
 
-    ``gen_x`` and ``gen_y`` are seeded samplers ``f(rng, size)``.  P-values
-    come from a shared null table (built once from uniforms unless one is
-    supplied); replicate draws use per-replicate streams, so the result is
-    deterministic given ``seed``.
+    ``gen_x`` and ``gen_y`` are seeded samplers ``f(rng, size)``.  The
+    sizes and depth are the null table's, and every replicate's p-value
+    comes from it; replicate draws use per-replicate streams, so the
+    result is deterministic given ``seed``.
     """
     if reps < 100:
         raise ValueError("reps must be at least 100")
-    table = null_table
-    if table is None:
-        table = build_null_table(m, n, depth, table_sims, seed)
     rejections = 0
     for xs, ys in _seeds.replicate_blocks(
-        seed, _seeds.POWER_TRIAL, reps, gen_x, gen_y, m, n
+        seed, _seeds.POWER_TRIAL, reps, gen_x, gen_y, table.m, table.n
     ):
-        pvals = p_value(august_many(xs, ys, depth)[0], table)
+        pvals = p_value(august_many(xs, ys, table.depth)[0], table)
         rejections += int(np.count_nonzero(pvals <= alpha))
     return rejections / reps
 
@@ -411,25 +396,21 @@ def _key(table):
 
 
 def save_null_table(table, cache_dir):
-    """Write the binary table plus its JSON sidecar; returns the path.
+    """Write the binary table; returns the path.
 
     Layout: magic, little-endian header (version, m, n, depth, sims, seed,
-    tag length), the tag bytes, then ``sims`` float64 statistics.  Each
-    file is written to a fresh temporary file in ``cache_dir`` and renamed
-    into place, so concurrent writers of one key never share a partial file.
+    tag length), the tag bytes, then ``sims`` float64 statistics.  The
+    header is the one record of the key.  The file is written to a fresh
+    temporary file in ``cache_dir`` and renamed into place, so concurrent
+    writers of one key never share a partial file.
     """
     path = null_table_path(cache_dir, *_key(table))
     tag = table.generator_tag.encode("ascii")
-    fields = {"format_version": _FORMAT_VERSION, "m": table.m, "n": table.n,
-              "depth": table.depth, "sims": table.sims, "seed": table.seed}
-    header = _MAGIC + struct.pack("<IQQIQQI", *fields.values(), len(tag))
-    sidecar = json.dumps(
-        dict(fields, generator_tag=table.generator_tag), sort_keys=True, indent=2
-    )
+    header = _MAGIC + struct.pack(
+        "<IQQIQQI", _FORMAT_VERSION, *_key(table)[:5], len(tag))
     try:
         os.makedirs(cache_dir, exist_ok=True)
         _write_atomic(path, header + tag + table.stats.astype("<f8").tobytes())
-        _write_atomic(path + ".json", (sidecar + "\n").encode("ascii"))
     except OSError as exc:
         raise IOFailure(f"could not write null table to {path}: {exc}") from exc
     return path
@@ -473,15 +454,16 @@ def load_null_table(path):
 def cached_null_table(m, n, depth, sims, seed, generator, cache_dir):
     """Load the table for a key if cached, else build and persist it.
 
-    Returns ``(table, hit)`` where ``hit`` says whether the cache served it.
-    A cached file whose header names another key raises ``IOFailure``.
+    Returns ``(table, hit, path)`` where ``hit`` says whether the cache
+    served it and ``path`` is the key's file.  A cached file whose header
+    names another key raises ``IOFailure``.
     """
     path = null_table_path(cache_dir, m, n, depth, sims, seed, generator)
     if os.path.exists(path):
         table = load_null_table(path)
         if _key(table) != (m, n, depth, sims, seed, generator):
             raise IOFailure(f"{path} holds the table for key {_key(table)}")
-        return table, True
+        return table, True, path
     table = build_null_table(m, n, depth, sims, seed, generator)
     save_null_table(table, cache_dir)
-    return table, False
+    return table, False, path

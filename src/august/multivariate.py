@@ -47,7 +47,6 @@ class MahalanobisModel:
     mean: np.ndarray
     covariance: np.ndarray
     inverse_factor: np.ndarray
-    source_label: str = ""
 
 
 def _as_matrix(sample):
@@ -95,7 +94,7 @@ def _distances(stack, means, inverse_factors):
     return np.sqrt((whitened * whitened).sum(axis=2))
 
 
-def fit_mahalanobis(sample, ridge=0.0, source_label=""):
+def fit_mahalanobis(sample, ridge=0.0):
     """Fit sample mean and (optionally ridge-regularized) covariance.
 
     Raises ``SingularCovariance`` when the covariance cannot be factored or
@@ -104,7 +103,7 @@ def fit_mahalanobis(sample, ridge=0.0, source_label=""):
     test.
     """
     means, covs, inverse_factors = _fit(_as_matrix(sample)[None], ridge)
-    return MahalanobisModel(means[0], covs[0], inverse_factors[0], source_label)
+    return MahalanobisModel(means[0], covs[0], inverse_factors[0])
 
 
 def transform(sample, model):
@@ -118,8 +117,8 @@ def transform(sample, model):
 
 
 def _branch_results(x, y, depth, tie_policy, ridge):
-    model_x = fit_mahalanobis(x, ridge, source_label="x")
-    model_y = fit_mahalanobis(y, ridge, source_label="y")
+    model_x = fit_mahalanobis(x, ridge)
+    model_y = fit_mahalanobis(y, ridge)
     branch_x = august_plus(
         transform(x, model_x), transform(y, model_x), depth, tie_policy
     )

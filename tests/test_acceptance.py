@@ -143,7 +143,7 @@ def test_criterion_07a_univariate_level_calibration():
     rate = A.power_simulation(
         lambda rng, size: rng.random(size),
         lambda rng, size: rng.random(size),
-        128, 128, depth=3, alpha=0.05, reps=10_000, seed=202, null_table=table,
+        table, alpha=0.05, reps=10_000, seed=202,
     )
     _report(
         7, "univariate level calibration", abs(rate - 0.05) <= 0.01,
@@ -237,12 +237,13 @@ def test_criterion_09_alternative_mean():
 def test_criterion_10_power_ordering():
     shifts = (0.0, 0.3, 0.6, 0.9, 1.2)
     reps = 500
+    location_table = A.build_null_table(128, 128, 3, 4000, seed=91)
     powers = []
     for shift in shifts:
         powers.append(A.power_simulation(
             lambda rng, size: rng.standard_normal(size),
             lambda rng, size, s=shift: rng.standard_normal(size) + s,
-            128, 128, depth=3, alpha=0.05, reps=reps, seed=91, table_sims=4000,
+            location_table, alpha=0.05, reps=reps, seed=91,
         ))
     powers_arr = np.array(powers)
     stderr = np.sqrt(np.maximum(powers_arr * (1 - powers_arr), 1e-4) / reps)
@@ -254,7 +255,8 @@ def test_criterion_10_power_ordering():
     mixture = normal_mixture_sampler(0.9)
     aug_power = A.power_simulation(
         lambda rng, size: rng.standard_normal(size), mixture,
-        128, 128, depth=3, alpha=0.05, reps=reps, seed=77, table_sims=4000,
+        A.build_null_table(128, 128, 3, 4000, seed=77),
+        alpha=0.05, reps=reps, seed=77,
     )
     ks_rejections = 0
     for i in range(reps):

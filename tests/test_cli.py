@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import august.cli
-from august import power_simulation, read_plot_data
+from august import build_null_table, power_simulation, read_plot_data
 from august.families import get_family
 from august.cli import (
     EXIT_IO,
@@ -320,18 +320,19 @@ class TestCmdPower:
         cache = workdir / "cache"
         out = str(workdir / "power.csv")
         code = main(["power", "--families", "normal-location,laplace-scale",
-                     "--params", "0.0,1.5", "--m", "24", "--n", "28",
+                     "--params", "0.5,1.5", "--m", "24", "--n", "28",
                      "--depth", "2", "--reps", "120", "--sims", "300",
                      "--seed", "4", "--cache-dir", str(cache), "--report", out])
         assert code == EXIT_OK
         assert len([f for f in os.listdir(cache) if f.endswith(".nulltab")]) == 1
         expected = ["family,parameter,test,power"]
+        table = build_null_table(24, 28, 2, 300, 4)
         for name in ("normal-location", "laplace-scale"):
             family = get_family(name)
-            for param in (0.0, 1.5):
+            for param in (0.5, 1.5):
                 power = power_simulation(
-                    family.null_sampler, family.alternative(param), 24, 28,
-                    2, 0.05, 120, 4, table_sims=300,
+                    family.null_sampler, family.alternative(param), table,
+                    0.05, 120, 4,
                 )
                 expected.append(f"{name},{param},august,{power}")
         assert open(out).read().splitlines() == expected
@@ -399,6 +400,20 @@ class TestCmdPower:
         assert err["message"] == "reps must be at least 100"
         assert not out.exists() and not (workdir / "cache").exists()
 
+    @pytest.mark.parametrize("family", ["laplace-scale", "mvn-scale"])
+    @pytest.mark.parametrize("scale", ["0.0", "-1"])
+    def test_scale_family_refuses_nonpositive_scale(self, family, scale,
+                                                    workdir, capsys):
+        # The refused family comes second: nothing runs for the first either.
+        out = workdir / "power.csv"
+        code = main(["power", "--families", f"null,{family}", "--params", scale,
+                     "--reps", "100", "--cache-dir", str(workdir / "cache"),
+                     "--report", str(out)])
+        assert code == EXIT_PRECONDITION
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["message"] == "scale must be positive"
+        assert not out.exists() and not (workdir / "cache").exists()
+
     def test_unknown_family_is_precondition_error(self, workdir):
         assert main(["power", "--families", "nope"]) == EXIT_PRECONDITION
 
@@ -428,6 +443,11 @@ class TestOptions:
         ["power", "--alpha", "-0.1"],
         ["interpret", "d.csv", "--reference", "y", "--top-k", "-1"],
         ["interpret", "d.csv", "--reference", "y", "--top-k", "0"],
+        ["interpret", "d.csv", "--reference", "y", "--bins", "0"],
+        ["interpret", "d.csv", "--reference", "y", "--bins", "-3"],
+        ["power", "--params", "abc"],
+        ["power", "--params", "0.5,x"],
+        ["power", "--params", "nan"],
         ["test", "x.csv", "y.csv", "z.csv"],
         ["test-multi", "x.csv", "y.csv", "z.csv"],
         ["interpret", "x.csv", "y.csv", "z.csv", "--reference", "y"],

@@ -67,29 +67,16 @@ class TestLogBinomial:
 class TestSubsampleConfig:
     def test_default_q_is_depth_plus_one(self):
         cfg = SubsampleConfig(3)
-        assert cfg.q == 4
         assert cfg.r == 15
         assert cfg.counts_per_cell == 2
-
-    def test_custom_q(self):
-        cfg = SubsampleConfig(2, q=4)
-        assert cfg.r == 15
-        assert cfg.counts_per_cell == 4
-
-    def test_q_below_depth_rejected(self):
-        with pytest.raises(ValueError):
-            SubsampleConfig(3, q=2)
 
     def test_bad_depth_rejected(self):
         with pytest.raises(ValueError):
             SubsampleConfig(0)
 
     def test_subsample_size_is_capped(self):
-        # C(r, j) must fit a float: r = 2**q - 1 <= 1023.
+        # C(r, j) must fit a float: r = 2**(depth+1) - 1 <= 1023.
         assert SubsampleConfig(9).r == 1023
-        assert SubsampleConfig(5, q=10).r == 1023
-        with pytest.raises(DepthOutOfRange):
-            SubsampleConfig(9, q=11)
         with pytest.raises(DepthOutOfRange):
             SubsampleConfig(10)
 
@@ -201,13 +188,6 @@ class TestExhaustiveOracle:
             enumerated = exhaustive_subsample_cdf(x, y, cfg).probs
             assert np.abs(exact - enumerated).max() <= 1e-12
 
-    def test_matches_closed_form_for_nondefault_q(self):
-        cfg = SubsampleConfig(1, q=3)  # r = 7, four counts per cell
-        y = np.arange(10.0)
-        exact = augmented_cdf(4.5, y, cfg).probs
-        enumerated = exhaustive_subsample_cdf(4.5, y, cfg).probs
-        assert np.abs(exact - enumerated).max() <= 1e-12
-
     def test_combination_budget_guard(self):
         with pytest.raises(TooManyCombinations):
             exhaustive_subsample_cdf(0.5, np.arange(40.0), SubsampleConfig(2))
@@ -261,9 +241,7 @@ class TestBootstrapOracle:
 class TestCellProbabilitiesForCounts:
     def test_matches_augmented_cdf_for_every_count(self):
         # Reference: the log-factorial route, exact enough at n <= 60.
-        configs = [SubsampleConfig(depth) for depth in (1, 2, 3, 4)]
-        configs.append(SubsampleConfig(2, q=5))
-        for cfg in configs:
+        for cfg in [SubsampleConfig(depth) for depth in (1, 2, 3, 4)]:
             for n in sorted({cfg.r, cfg.r + 1, 40, 60}):
                 y = np.arange(n, dtype=np.float64)
                 rows = cell_probabilities_for_counts(np.arange(n + 1), n, cfg)

@@ -107,22 +107,15 @@ class TestCachePersistence:
         save_null_table(table, str(tmp_path))
         assert open(path, "rb").read() == first
 
-    def test_sidecar_mirrors_header(self, tmp_path):
-        import json
-
-        table = build_null_table(20, 20, 1, 110, seed=4)
-        path = save_null_table(table, str(tmp_path))
-        sidecar = json.load(open(path + ".json"))
-        assert sidecar == {
-            "format_version": 1, "m": 20, "n": 20, "depth": 1,
-            "sims": 110, "seed": 4, "generator_tag": "uniform",
-        }
-
     def test_cached_lookup_hits_second_time(self, tmp_path):
-        _, hit_first = cached_null_table(20, 20, 1, 130, 7, "uniform", str(tmp_path))
-        second, hit_second = cached_null_table(20, 20, 1, 130, 7, "uniform", str(tmp_path))
+        _, hit_first, path_first = cached_null_table(
+            20, 20, 1, 130, 7, "uniform", str(tmp_path))
+        second, hit_second, path_second = cached_null_table(
+            20, 20, 1, 130, 7, "uniform", str(tmp_path))
         assert not hit_first and hit_second
         assert second.sims == 130
+        assert path_first == path_second == null_table_path(
+            str(tmp_path), 20, 20, 1, 130, 7, "uniform")
 
     def test_renamed_file_raises(self, tmp_path):
         table = build_null_table(20, 20, 1, 130, seed=7)
@@ -150,9 +143,7 @@ class TestCachePersistence:
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
         path = null_table_path(str(tmp_path), 20, 20, 1, 2000, 3, "uniform")
-        assert sorted(os.listdir(tmp_path)) == sorted(
-            [os.path.basename(path), os.path.basename(path) + ".json"]
-        )
+        assert os.listdir(tmp_path) == [os.path.basename(path)]
         assert np.array_equal(load_null_table(path).stats, table.stats)
 
     def test_missing_file_raises(self, tmp_path):
@@ -379,7 +370,8 @@ class TestPowerSimulation:
         power = power_simulation(
             lambda rng, size: rng.random(size),
             lambda rng, size: rng.random(size),
-            m=64, n=64, depth=2, alpha=0.05, reps=400, seed=23,
+            build_null_table(64, 64, 2, 2000, seed=23),
+            alpha=0.05, reps=400, seed=23,
         )
         tolerance = 2 * np.sqrt(0.05 * 0.95 / 400)
         assert abs(power - 0.05) <= tolerance
@@ -389,17 +381,19 @@ class TestPowerSimulation:
             lambda rng, size: rng.standard_normal(size),
             lambda rng, size: rng.standard_normal(size) + 0.4,
         )
-        a = power_simulation(*args, m=32, n=32, depth=2, alpha=0.05, reps=150, seed=2)
-        b = power_simulation(*args, m=32, n=32, depth=2, alpha=0.05, reps=150, seed=2)
+        table = build_null_table(32, 32, 2, 2000, seed=2)
+        a = power_simulation(*args, table, alpha=0.05, reps=150, seed=2)
+        b = power_simulation(*args, table, alpha=0.05, reps=150, seed=2)
         assert a == b
 
     def test_monotone_in_shift(self):
+        table = build_null_table(64, 64, 3, 2000, seed=31)
         powers = []
         for shift in (0.0, 0.3, 0.6, 0.9, 1.2):
             powers.append(power_simulation(
                 lambda rng, size: rng.standard_normal(size),
                 lambda rng, size, s=shift: rng.standard_normal(size) + s,
-                m=64, n=64, depth=3, alpha=0.05, reps=300, seed=31,
+                table, alpha=0.05, reps=300, seed=31,
             ))
         stderr = np.sqrt(np.maximum(np.array(powers) * (1 - np.array(powers)), 0.002) / 300)
         for lo, hi, se in zip(powers, powers[1:], stderr):
@@ -411,5 +405,6 @@ class TestPowerSimulation:
             power_simulation(
                 lambda rng, size: rng.random(size),
                 lambda rng, size: rng.random(size),
-                m=32, n=32, depth=1, alpha=0.05, reps=50, seed=0,
+                build_null_table(32, 32, 1, 2000, seed=0),
+                alpha=0.05, reps=50, seed=0,
             )
