@@ -257,10 +257,7 @@ def cmd_interpret(args):
     reports = region_report(result, x, y, args.reference, args.top_k)
     reference_sample = y if args.reference == "y" else x
     out = args.report if args.report else "plot-data.json"
-    emit_plot_data(
-        reports, reference_sample, out,
-        histogram_bins=args.bins, reference_label=args.reference,
-    )
+    emit_plot_data(reports, reference_sample, out, histogram_bins=args.bins)
     summary = {
         "command": "interpret",
         "labels": labels,
@@ -344,9 +341,6 @@ def _family_tests(family, tests):
 
 
 def cmd_power(args):
-    # power_simulation's floor, held for every test before any work starts.
-    if args.reps < 100:
-        raise ValueError("reps must be at least 100")
     names = args.families.split(",") if args.families else sorted(UNIVARIATE_FAMILIES)
     tests = args.tests.split(",")
     families = [get_family(name.strip()) for name in names]
@@ -394,6 +388,7 @@ def _option_type(convert, valid, wanted):
 
 _fraction = _option_type(float, lambda v: 0 < v < 1, "a number in (0, 1)")
 _positive_int = _option_type(int, lambda v: v >= 1, "an integer >= 1")
+_replicates = _option_type(int, lambda v: v >= 100, "an integer >= 100")
 _finite_floats = _option_type(
     lambda text: [float(field) for field in text.split(",")],
     lambda v: np.isfinite(v).all(), "a comma list of finite numbers",
@@ -448,14 +443,15 @@ def build_parser():
                    default="montecarlo",
                    help="a cached null table of --sims statistics, or the "
                         "closed-form limit law (no simulation)")
-    p.add_argument("--sims", type=int, default=10_000,
-                   help="null-table size B")
+    p.add_argument("--sims", type=_replicates, default=10_000,
+                   help="null-table size B, at least 100")
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("test-multi", help="multivariate two-sample test")
     _add_common(p, depth_default=2)
     _add_options(p, "data", "--report", "--alpha", "--ties", "--bonferroni")
-    p.add_argument("--permutations", type=int, default=999)
+    p.add_argument("--permutations", type=_replicates, default=999,
+                   help="at least 100")
     p.add_argument("--ridge", type=float, default=0.0)
     p.set_defaults(func=cmd_test_multi)
 
@@ -480,7 +476,8 @@ def build_parser():
     p.add_argument("--n", type=int, required=True)
     _add_common(p, depth_default=3)
     _add_options(p, "--report", "--cache-dir")
-    p.add_argument("--sims", type=int, default=10_000)
+    p.add_argument("--sims", type=_replicates, default=10_000,
+                   help="at least 100")
     p.add_argument("--generator", choices=("uniform", "normal", "cauchy"),
                    default="uniform")
     p.set_defaults(func=cmd_null_table)
@@ -498,10 +495,12 @@ def build_parser():
                         "bivariate families run august-multi")
     p.add_argument("--m", type=int, default=128)
     p.add_argument("--n", type=int, default=128)
-    p.add_argument("--reps", type=int, default=200, help="at least 100")
-    p.add_argument("--sims", type=int, default=2000,
-                   help="null-table size for the montecarlo p-values")
-    p.add_argument("--permutations", type=int, default=199)
+    p.add_argument("--reps", type=_replicates, default=200, help="at least 100")
+    p.add_argument("--sims", type=_replicates, default=2000,
+                   help="null-table size for the montecarlo p-values, "
+                        "at least 100")
+    p.add_argument("--permutations", type=_replicates, default=199,
+                   help="at least 100")
     p.add_argument("--multi-depth", type=int, default=2)
     p.set_defaults(func=cmd_power)
 

@@ -6,10 +6,12 @@ statistic is ``S = -(s_x . s_y)`` where ``s_x`` and ``s_y`` are the
 Hadamard symmetry statistics of the averaged cell probabilities.
 
 The fast kernel gets the identical result in ``O(N log N)`` by sorting:
-the count of the other sample at or below each point is a rank, the points
-are tallied per count, and averaging is the tally times each count's cell
-probabilities.  Those are evaluated in every call, for the counts that
-occur (for a batch, for every count), and no table is kept between calls.
+the points of one sample with k points of the other at or below them are
+the run between the other sample's k-th and (k+1)-th points in sorted
+order, so each count's tally is a run length, and averaging is the tally
+times each count's cell probabilities.  Those are evaluated in every call,
+for the counts that occur (for a batch, for every count), and no table is
+kept between calls.
 ``august_many`` runs the kernel on a batch of replicate pairs and
 ``august_plus`` on a batch of one.  A batch uses the cell rows of every
 count and a single pair only its occurring ones, so a row of a larger
@@ -197,10 +199,12 @@ def _summed_cells(tallies, size, cfg):
 def _cell_means(xs, ys, depth):
     """Averaged cell probabilities ``(p_x, p_y)`` of each replicate row.
 
-    One argsort of each merged row gives every point's count of the other
-    sample at or below it; the counts are tallied per row, and a tally
-    times the cell rows of its counts is the row's summed cell vectors.
-    Rows go through in chunks of about 4e6 points.
+    One argsort of each merged row places both samples in sorted order.
+    The x points with exactly k y points at or below them are those between
+    the k-th and (k+1)-th y positions, so the gaps between consecutive y
+    positions are the x tallies of counts 0 .. n (and the same with the
+    roles swapped).  A tally times the cell rows of its counts is the row's
+    summed cell vectors.  Rows go through in chunks of about 4e6 points.
     """
     reps, m = xs.shape
     n = ys.shape[1]
@@ -213,18 +217,11 @@ def _cell_means(xs, ys, depth):
         rows = stop - start
         merged = np.concatenate([xs[start:stop], ys[start:stop]], axis=1)
         order = np.argsort(merged, axis=1)
-        from_y = order >= m
-        seen_y = np.cumsum(from_y, axis=1)
-        seen_x = np.arange(1, m + n + 1) - seen_y
-        counts_x = seen_y[~from_y].reshape(rows, m)
-        counts_y = seen_x[from_y].reshape(rows, n)
-        offsets = np.arange(rows)[:, None]
-        tallies_x = np.bincount(
-            (offsets * (n + 1) + counts_x).ravel(), minlength=rows * (n + 1)
-        ).reshape(rows, n + 1)
-        tallies_y = np.bincount(
-            (offsets * (m + 1) + counts_y).ravel(), minlength=rows * (m + 1)
-        ).reshape(rows, m + 1)
+        starts = np.arange(rows)[:, None] * (m + n)
+        at_y = np.flatnonzero(order >= m).reshape(rows, n) - starts
+        at_x = np.flatnonzero(order < m).reshape(rows, m) - starts
+        tallies_x = np.diff(at_y, axis=1, prepend=-1, append=m + n) - 1
+        tallies_y = np.diff(at_x, axis=1, prepend=-1, append=m + n) - 1
         p_x[start:stop] = _summed_cells(tallies_x, n, cfg) / m
         p_y[start:stop] = _summed_cells(tallies_y, m, cfg) / n
     return p_x, p_y

@@ -44,17 +44,12 @@ _ROW_LABELS = {
 }
 
 
-def row_label(depth, row_index, multivariate=False):
+def row_label(depth, row_index):
     """Human-readable name for a Hadamard row contrast.
 
-    ``row_index`` is the 1-based Sylvester row number (2 .. 2**depth).  For
-    multivariate results the cells are nested elliptical rings of
-    Mahalanobis distance rather than real intervals.
+    ``row_index`` is the 1-based Sylvester row number (2 .. 2**depth).
     """
-    base = _ROW_LABELS.get((depth, row_index), f"row {row_index} contrast")
-    if multivariate:
-        return base + " (over nested elliptical rings of Mahalanobis distance)"
-    return base
+    return _ROW_LABELS.get((depth, row_index), f"row {row_index} contrast")
 
 
 @dataclass(frozen=True)
@@ -167,17 +162,16 @@ def _to_json(node):
     return _format_number(node)
 
 
-def emit_plot_data(reports, reference_sample, path, histogram_bins=32,
-                   reference_label=None):
+def emit_plot_data(reports, reference_sample, path, histogram_bins=32):
     """Write the plot-data JSON file; returns the payload dict.
 
     Contains a histogram of the reference sample plus one record per region
-    report.  Numbers are serialized at 17 significant digits, so the file
+    report; the reference label is the reports' (``"y"`` when there are
+    none).  Numbers are serialized at 17 significant digits, so the file
     round-trips losslessly and identical runs produce identical bytes.
     """
     reference_sample = np.asarray(reference_sample, dtype=np.float64).ravel()
-    if reference_label is None:
-        reference_label = reports[0].reference_label if reports else "y"
+    reference_label = reports[0].reference_label if reports else "y"
     counts, edges = np.histogram(reference_sample, bins=histogram_bins)
     payload = {
         "schema_version": SCHEMA_VERSION,

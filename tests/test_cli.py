@@ -382,24 +382,6 @@ class TestCmdPower:
         # Refused before any simulation: no table, no report.
         assert not out.exists() and not (workdir / "cache").exists()
 
-    @pytest.mark.parametrize("families,tests", [
-        ("null", "august"),
-        ("null", "ks"),
-        ("null", "energy"),
-        ("mvn-location", "august-multi"),
-    ])
-    @pytest.mark.parametrize("reps", ["0", "99"])
-    def test_reps_floor_holds_for_every_test(self, families, tests, reps,
-                                             workdir, capsys):
-        out = workdir / "power.csv"
-        code = main(["power", "--families", families, "--tests", tests,
-                     "--reps", reps, "--params", "0.5",
-                     "--cache-dir", str(workdir / "cache"), "--report", str(out)])
-        assert code == EXIT_PRECONDITION
-        err = json.loads(capsys.readouterr().err)["error"]
-        assert err["message"] == "reps must be at least 100"
-        assert not out.exists() and not (workdir / "cache").exists()
-
     @pytest.mark.parametrize("family", ["laplace-scale", "mvn-scale"])
     @pytest.mark.parametrize("scale", ["0.0", "-1"])
     def test_scale_family_refuses_nonpositive_scale(self, family, scale,
@@ -451,6 +433,18 @@ class TestOptions:
         ["test", "x.csv", "y.csv", "z.csv"],
         ["test-multi", "x.csv", "y.csv", "z.csv"],
         ["interpret", "x.csv", "y.csv", "z.csv", "--reference", "y"],
+        # The replicate floors hold for every test that power runs.
+        *(["power", "--families", families, "--tests", tests, "--reps", reps,
+           "--params", "0.5"]
+          for families, tests in (("null", "august"), ("null", "ks"),
+                                  ("null", "energy"),
+                                  ("mvn-location", "august-multi"))
+          for reps in ("0", "99")),
+        ["test", "d.csv", "--sims", "99"],
+        ["null-table", "--m", "24", "--n", "24", "--sims", "50",
+         "--cache-dir", "cache"],
+        ["test-multi", "d.csv", "--permutations", "5"],
+        ["power", "--tests", "energy", "--permutations", "99"],
     ])
     def test_refused_argv_is_usage_error(self, argv, workdir, monkeypatch, capsys):
         # Refused before any file is read: the named files need not exist.

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from august import _seeds
+from august import _seeds, core
 from august import (
     AugustResult,
     DegenerateVector,
@@ -105,6 +105,58 @@ class TestAlgorithmEquivalence:
         assert np.abs(s_y - [r.s_y for r in singles]).max() <= 1e-15
         table = build_null_table(m, n, depth, sims=1000, seed=3)
         assert np.array_equal(p_value(stats, table), p_value(single_stats, table))
+
+
+def recorded_tallies(monkeypatch, xs, ys, depth):
+    """The x and y tallies that ``_cell_means`` passes to ``_summed_cells``."""
+    seen = []
+    summed_cells = core._summed_cells
+
+    def record(tallies, size, cfg):
+        seen.append(tallies.copy())
+        return summed_cells(tallies, size, cfg)
+
+    monkeypatch.setattr(core, "_summed_cells", record)
+    core._cell_means(xs, ys, depth)
+    assert len(seen) == 2
+    return seen
+
+
+def direct_tallies(references, points):
+    """Per row, how many ``points`` have each count 0 .. size of ``references``."""
+    return np.array([
+        np.bincount(core._count_at_or_below(ref, pts), minlength=ref.size + 1)
+        for ref, pts in zip(references, points)
+    ])
+
+
+class TestTallies:
+    @pytest.mark.parametrize("depth", [1, 3])
+    def test_minimum_size_batch_with_extreme_rows(self, depth, monkeypatch):
+        r = minimum_sample_size(depth)
+        grid = np.arange(2.0 * r)
+        rng = np.random.default_rng(depth)
+        # x all below y, x all above y, strictly alternating from either
+        # side, then three random rows.
+        xs = np.array([grid[:r], grid[r:], grid[0::2], grid[1::2],
+                       *rng.random((3, r))])
+        ys = np.array([grid[r:], grid[:r], grid[1::2], grid[0::2],
+                       *rng.random((3, r))])
+        tallies_x, tallies_y = recorded_tallies(monkeypatch, xs, ys, depth)
+        assert np.array_equal(tallies_x, direct_tallies(ys, xs))
+        assert np.array_equal(tallies_y, direct_tallies(xs, ys))
+        assert np.array_equal(tallies_x[0], [r] + [0] * r)
+        assert np.array_equal(tallies_x[1], [0] * r + [r])
+        assert np.array_equal(tallies_x[2], [1] * r + [0])
+        assert np.array_equal(tallies_x[3], [0] + [1] * r)
+
+    @pytest.mark.parametrize("reps,m,n", [(1, 37, 52), (1, 3, 3), (6, 40, 61)])
+    def test_uneven_batches_and_a_batch_of_one(self, reps, m, n, monkeypatch):
+        rng = np.random.default_rng(m * n + reps)
+        xs, ys = rng.normal(size=(reps, m)), rng.normal(0.4, 1.3, size=(reps, n))
+        tallies_x, tallies_y = recorded_tallies(monkeypatch, xs, ys, 1)
+        assert np.array_equal(tallies_x, direct_tallies(ys, xs))
+        assert np.array_equal(tallies_y, direct_tallies(xs, ys))
 
 
 class TestLargeSamples:

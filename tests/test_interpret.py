@@ -141,7 +141,6 @@ class TestRegionReport:
         assert row_label(1, 2) == "location: left/right balance"
         assert row_label(2, 4) == "scale: center vs tails"
         assert row_label(3, 3) == "coarse Venetian blind"
-        assert "elliptical ring" in row_label(2, 4, multivariate=True)
 
 
 class TestPlotData:
