@@ -1,13 +1,12 @@
 """The replicate engine: seeded streams, replicate blocks and add-one p-values.
 
 Every stochastic operation derives its streams from ``(seed, domain,
-index)``.  ``replicate_blocks`` draws the sample pairs of Monte-Carlo
-replicates, one stream per replicate; ``relabellings`` draws the index
-orders of the permutation tests, one stream per block of ``BLOCK``
-relabellings.  So each kind of draw is made in one place.  Aggregation is
-always order-independent (counts, sums, sorted pools), so results do not
-depend on how replicates are scheduled or chunked.  Domains keep streams
-from different operations disjoint even when they share a user seed.
+index)``.  ``replicate_blocks`` draws value pairs, one stream per replicate;
+``relabellings`` draws index orders (the permutation tests and, read as
+label sequences, the null tables), one stream per block of ``BLOCK``.
+Aggregation is order-independent (counts, sums, sorted pools), so which
+draws a result uses does not depend on scheduling or chunking.  Domains
+keep the streams of different operations disjoint under one user seed.
 """
 
 import numpy as np

@@ -169,10 +169,10 @@ def _decision(args, pval):
     }
 
 
-def _null_table(args, m, n, generator="uniform"):
+def _null_table(args, m, n):
     """Return ``(table, cache_hit, path)`` for the null table of this key."""
     cache = args.cache_dir or os.environ.get("AUGUST_CACHE_DIR", _DEFAULT_CACHE)
-    return cached_null_table(m, n, args.depth, args.sims, args.seed, generator, cache)
+    return cached_null_table(m, n, args.depth, args.sims, args.seed, cache)
 
 
 def cmd_test(args):
@@ -185,7 +185,6 @@ def cmd_test(args):
         table_info = {
             "sims": table.sims,
             "seed": table.seed,
-            "generator_tag": table.generator_tag,
             "cache_hit": hit,
             "path": path,
         }
@@ -280,7 +279,7 @@ def cmd_interpret(args):
 
 
 def cmd_null_table(args):
-    table, hit, path = _null_table(args, args.m, args.n, args.generator)
+    table, hit, path = _null_table(args, args.m, args.n)
     report = {
         "command": "null-table",
         "path": path,
@@ -290,7 +289,6 @@ def cmd_null_table(args):
         "depth": table.depth,
         "sims": table.sims,
         "seed": table.seed,
-        "generator_tag": table.generator_tag,
         "quantiles": {
             q: np.quantile(table.stats, float(q)) for q in ("0.90", "0.95", "0.99")
         },
@@ -478,8 +476,6 @@ def build_parser():
     _add_options(p, "--report", "--cache-dir")
     p.add_argument("--sims", type=_replicates, default=10_000,
                    help="at least 100")
-    p.add_argument("--generator", choices=("uniform", "normal", "cauchy"),
-                   default="uniform")
     p.set_defaults(func=cmd_null_table)
 
     p = sub.add_parser("power", help="power study over named families")

@@ -12,11 +12,13 @@ order, so each count's tally is a run length, and averaging is the tally
 times each count's cell probabilities.  Those are evaluated in every call,
 for the counts that occur (for a batch, for every count), and no table is
 kept between calls.
-``august_many`` runs the kernel on a batch of replicate pairs and
-``august_plus`` on a batch of one.  A batch uses the cell rows of every
-count and a single pair only its occurring ones, so a row of a larger
-batch matches ``august_plus`` to the last bits, not bit for bit (up to
-6.1e-16 at 1800/1600, d = 3).  Oracle and kernel agree to 1e-12.
+``august_many`` argsorts a batch of replicate pairs into label sequences
+(which sorted points are y points), ``august_plus`` is a batch of one, and
+``august_labels`` starts at the label sequences, all a null replicate needs.
+A batch uses the cell rows of every count and a single pair only its
+occurring ones, so a row of a larger batch matches ``august_plus`` to the
+last bits (up to 6.1e-16 at 1800/1600, d = 3).  Oracle and kernel agree
+to 1e-12.
 
 Both samples' values enter only through ranks, so the statistic is
 invariant under joint strictly increasing transforms and is exactly
@@ -196,34 +198,39 @@ def _summed_cells(tallies, size, cfg):
     return tallies @ cell_probabilities_for_counts(np.arange(size + 1), size, cfg)
 
 
+def _label_cells(is_y, m, cfg):
+    """Averaged cell probabilities ``(p_x, p_y)`` of each label sequence.
+
+    The x points with exactly k y points at or below them lie between the
+    k-th and (k+1)-th y positions, so the gaps between y positions are the
+    x tallies of counts 0 .. n (and the same with the roles swapped).
+    """
+    rows, total = is_y.shape
+    n = total - m
+    starts = np.arange(rows)[:, None] * total
+    at_y = np.flatnonzero(is_y).reshape(rows, n) - starts
+    at_x = np.flatnonzero(~is_y).reshape(rows, m) - starts
+    tallies_x = np.diff(at_y, axis=1, prepend=-1, append=total) - 1
+    tallies_y = np.diff(at_x, axis=1, prepend=-1, append=total) - 1
+    return _summed_cells(tallies_x, n, cfg) / m, _summed_cells(tallies_y, m, cfg) / n
+
+
 def _cell_means(xs, ys, depth):
     """Averaged cell probabilities ``(p_x, p_y)`` of each replicate row.
 
-    One argsort of each merged row places both samples in sorted order.
-    The x points with exactly k y points at or below them are those between
-    the k-th and (k+1)-th y positions, so the gaps between consecutive y
-    positions are the x tallies of counts 0 .. n (and the same with the
-    roles swapped).  A tally times the cell rows of its counts is the row's
-    summed cell vectors.  Rows go through in chunks of about 4e6 points.
+    One argsort of each merged row gives its label sequence.  Rows go
+    through in chunks of about 4e6 points.
     """
     reps, m = xs.shape
-    n = ys.shape[1]
     cfg = SubsampleConfig(depth)
     p_x = np.empty((reps, cfg.cells))
     p_y = np.empty((reps, cfg.cells))
-    chunk = max(1, 4_000_000 // (m + n))
+    chunk = max(1, 4_000_000 // (m + ys.shape[1]))
     for start in range(0, reps, chunk):
         stop = min(start + chunk, reps)
-        rows = stop - start
         merged = np.concatenate([xs[start:stop], ys[start:stop]], axis=1)
         order = np.argsort(merged, axis=1)
-        starts = np.arange(rows)[:, None] * (m + n)
-        at_y = np.flatnonzero(order >= m).reshape(rows, n) - starts
-        at_x = np.flatnonzero(order < m).reshape(rows, m) - starts
-        tallies_x = np.diff(at_y, axis=1, prepend=-1, append=m + n) - 1
-        tallies_y = np.diff(at_x, axis=1, prepend=-1, append=m + n) - 1
-        p_x[start:stop] = _summed_cells(tallies_x, n, cfg) / m
-        p_y[start:stop] = _summed_cells(tallies_y, m, cfg) / n
+        p_x[start:stop], p_y[start:stop] = _label_cells(order >= m, m, cfg)
     return p_x, p_y
 
 
@@ -250,6 +257,13 @@ def august_many(xs, ys, depth):
         raise ValueError("xs and ys must have the same number of replicates")
     _check_samples(xs, ys, depth)
     return _statistics(*_cell_means(xs, ys, depth))
+
+
+def august_labels(is_y, m, depth):
+    """Statistics of boolean rows ``is_y``, each marking which of ``m + n``
+    sorted points are y points: ``august_many`` with no values to sort.
+    """
+    return _statistics(*_label_cells(is_y, m, SubsampleConfig(depth)))[0]
 
 
 def cos_angle(result):

@@ -2,15 +2,15 @@
 
 The statistic is exactly distribution-free under the null, so one
 Monte-Carlo null table per ``(m, n, depth, sims, seed)`` serves every
-dataset with matching sizes.  Tables are simulated from standard uniforms
-by default (any continuous generator gives the same law), sorted, and can
-be persisted to a binary cache whose header records the key.
+dataset with matching sizes.  A null replicate is a uniformly random
+label sequence, drawn by ``_seeds.relabellings`` and read by
+``core.august_labels``.  Tables are sorted and can be persisted to a binary
+cache whose header records the key.
 
-Null tables, ``estimate_sigma`` and ``power_simulation`` all draw their
-replicates from one generator, ``_seeds.replicate_blocks``: replicate i
-draws x and then y from its own stream ``(seed, domain, i)``, in blocks of
-2048 rows that ``august_many`` takes at once.  Every add-one p-value, here
-and in the permutation tests, comes from ``_seeds.add_one_p_value``.
+``estimate_sigma`` and ``power_simulation`` draw value pairs from
+``_seeds.replicate_blocks``, which ``august_many`` takes in blocks of 2048.
+Every add-one p-value, here and in the permutation tests, comes from
+``_seeds.add_one_p_value``.
 
 The asymptotic mode reads the statistic's limit law in closed form.
 Under the null ``(m n / N) S`` tends to ``sum_i w_i chi2_1``, whatever
@@ -35,13 +35,12 @@ from functools import lru_cache
 import numpy as np
 
 from . import _seeds
-from .core import august_many, minimum_sample_size
+from .core import august_labels, august_many, minimum_sample_size
 from .errors import IOFailure, QuadratureFailure, SampleTooSmall
 from .hadamard import sylvester
 from .hypergeom import SubsampleConfig
 
 __all__ = [
-    "GENERATORS",
     "NullTable",
     "AsymptoticConfig",
     "AlternativeSpec",
@@ -59,14 +58,13 @@ __all__ = [
     "cached_null_table",
 ]
 
-GENERATORS = {
-    "uniform": lambda rng, size: rng.random(size),
-    "normal": lambda rng, size: rng.standard_normal(size),
-    "cauchy": lambda rng, size: rng.standard_cauchy(size),
-}
-
-_FORMAT_VERSION = 1
+_FORMAT_VERSION = 2
 _MAGIC = b"AUGNULTB"
+# The header still carries a tag after the key, fixed to this value.  The
+# benchmark's own reader (``benchmark/reference.read_null_table``) parses
+# exactly this layout and checks the tag, so the tag stays until the
+# benchmark drops it.
+_TAG = b"uniform"
 
 
 @dataclass(frozen=True)
@@ -79,7 +77,6 @@ class NullTable:
     depth: int
     sims: int
     seed: int
-    generator_tag: str
 
     def __post_init__(self):
         stats = np.asarray(self.stats, dtype=np.float64)
@@ -124,26 +121,24 @@ class AlternativeSpec:
     label: str = ""
 
 
-def build_null_table(m, n, depth, sims, seed, generator="uniform"):
+def build_null_table(m, n, depth, sims, seed):
     """Simulate ``sims`` null statistics and return them sorted.
 
-    Replicate i draws both samples from one RNG stream derived from
-    ``(seed, i)``, so the table is reproducible and independent of
-    scheduling.
+    Replicate i is relabelling i of ``m + n`` points in the NULL_TABLE
+    domain, in chunks of about 1e6 points, so memory does not grow with N.
     """
     r = minimum_sample_size(depth)
     if m < r or n < r:
         raise SampleTooSmall(f"need m, n >= {r} at depth {depth}")
     if sims < 100:
         raise ValueError("sims must be at least 100")
-    sampler = GENERATORS[generator]
     stats = np.concatenate([
-        august_many(xs, ys, depth)[0]
-        for xs, ys in _seeds.replicate_blocks(
-            seed, _seeds.NULL_TABLE, sims, sampler, sampler, m, n
+        august_labels(idx >= m, m, depth)
+        for _, idx in _seeds.relabellings(
+            seed, _seeds.NULL_TABLE, sims, m + n, max(1, 1_000_000 // (m + n))
         )
     ])
-    return NullTable(np.sort(stats), m, n, depth, sims, seed, generator)
+    return NullTable(np.sort(stats), m, n, depth, sims, seed)
 
 
 def p_value(statistic, table):
@@ -165,11 +160,11 @@ def estimate_sigma(m, n, depth, reps, seed):
     """
     if reps < 1000:
         raise ValueError("reps must be at least 1000")
-    sampler = GENERATORS["uniform"]
+    uniform = np.random.Generator.random  # uniform(rng, size) is rng.random(size)
     rows = [
         np.hstack(august_many(xs, ys, depth)[1:])
         for xs, ys in _seeds.replicate_blocks(
-            seed, _seeds.SIGMA, reps, sampler, sampler, m, n
+            seed, _seeds.SIGMA, reps, uniform, uniform, m, n
         )
     ]
     scaled = np.sqrt(m + n) * np.vstack(rows)
@@ -339,8 +334,10 @@ def alternative_mu(spec, depth, quadrature_nodes=128):
     reduced = sylvester(depth)[1:, :].astype(np.float64)
     last_cell = (1 << depth) - 1
 
+    from scipy.special import roots_legendre
+
     def evaluate(nodes):
-        t, weights = np.polynomial.legendre.leggauss(nodes)
+        t, weights = roots_legendre(nodes)
         u = (t + 1.0) / 2.0
         weights = weights / 2.0
         w = np.clip(
@@ -384,33 +381,31 @@ def power_simulation(gen_x, gen_y, table, alpha, reps, seed):
     return rejections / reps
 
 
-def null_table_path(cache_dir, m, n, depth, sims, seed, generator_tag):
+def null_table_path(cache_dir, m, n, depth, sims, seed):
     """Canonical cache filename for a table key."""
-    name = f"null_m{m}_n{n}_d{depth}_B{sims}_s{seed}_{generator_tag}.nulltab"
+    name = f"null_m{m}_n{n}_d{depth}_B{sims}_s{seed}.nulltab"
     return os.path.join(cache_dir, name)
 
 
 def _key(table):
-    return (table.m, table.n, table.depth, table.sims, table.seed,
-            table.generator_tag)
+    return (table.m, table.n, table.depth, table.sims, table.seed)
 
 
 def save_null_table(table, cache_dir):
     """Write the binary table; returns the path.
 
     Layout: magic, little-endian header (version, m, n, depth, sims, seed,
-    tag length), the tag bytes, then ``sims`` float64 statistics.  The
-    header is the one record of the key.  The file is written to a fresh
+    tag length), the fixed tag bytes, then ``sims`` float64 statistics.
+    The header is the one record of the key.  The file is written to a fresh
     temporary file in ``cache_dir`` and renamed into place, so concurrent
     writers of one key never share a partial file.
     """
     path = null_table_path(cache_dir, *_key(table))
-    tag = table.generator_tag.encode("ascii")
     header = _MAGIC + struct.pack(
-        "<IQQIQQI", _FORMAT_VERSION, *_key(table)[:5], len(tag))
+        "<IQQIQQI", _FORMAT_VERSION, *_key(table), len(_TAG))
     try:
         os.makedirs(cache_dir, exist_ok=True)
-        _write_atomic(path, header + tag + table.stats.astype("<f8").tobytes())
+        _write_atomic(path, header + _TAG + table.stats.astype("<f8").tobytes())
     except OSError as exc:
         raise IOFailure(f"could not write null table to {path}: {exc}") from exc
     return path
@@ -444,26 +439,25 @@ def load_null_table(path):
     )
     if version != _FORMAT_VERSION:
         raise IOFailure(f"unsupported null-table format version {version}")
-    tag = blob[fixed: fixed + tag_len].decode("ascii")
     stats = np.frombuffer(blob[fixed + tag_len:], dtype="<f8")
     if stats.size != sims:
         raise IOFailure(f"{path} is truncated: {stats.size} of {sims} statistics")
-    return NullTable(stats.copy(), m, n, depth, sims, seed, tag)
+    return NullTable(stats.copy(), m, n, depth, sims, seed)
 
 
-def cached_null_table(m, n, depth, sims, seed, generator, cache_dir):
+def cached_null_table(m, n, depth, sims, seed, cache_dir):
     """Load the table for a key if cached, else build and persist it.
 
     Returns ``(table, hit, path)`` where ``hit`` says whether the cache
     served it and ``path`` is the key's file.  A cached file whose header
     names another key raises ``IOFailure``.
     """
-    path = null_table_path(cache_dir, m, n, depth, sims, seed, generator)
+    path = null_table_path(cache_dir, m, n, depth, sims, seed)
     if os.path.exists(path):
         table = load_null_table(path)
-        if _key(table) != (m, n, depth, sims, seed, generator):
+        if _key(table) != (m, n, depth, sims, seed):
             raise IOFailure(f"{path} holds the table for key {_key(table)}")
         return table, True, path
-    table = build_null_table(m, n, depth, sims, seed, generator)
+    table = build_null_table(m, n, depth, sims, seed)
     save_null_table(table, cache_dir)
     return table, False, path

@@ -15,6 +15,10 @@ route to the cell probabilities.  The routes here check it:
 a chunk of relabellings.  ``ks_statistic`` and ``energy_statistic`` here
 compute them one sample pair at a time, and ``exact_energy_statistic`` in
 rational arithmetic.
+
+``august.build_null_table`` draws null replicates as label sequences.
+``float_null_statistics`` draws them the long way, as samples of values
+from a continuous law, so the tests can check that both give one law.
 """
 
 import itertools
@@ -25,6 +29,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from august import _seeds
+from august.core import august_many
 from august.errors import AugustError, SampleTooSmall
 from august.hypergeom import CellProbabilities
 
@@ -180,3 +185,18 @@ def exact_energy_statistic(x, y):
     within_x, within_y = pair_sum(x), pair_sum(y)
     cross = pair_sum(x + y) - within_x - within_y
     return 2 * cross / (m * n) - 2 * within_x / (m * m) - 2 * within_y / (n * n)
+
+
+def float_null_statistics(m, n, depth, sims, seed, sampler):
+    """Sorted null statistics of ``sims`` value pairs drawn by ``sampler``.
+
+    Replicate i draws x and then y with ``sampler(rng, size)`` from its own
+    stream ``(seed, NULL_TABLE, i)`` and goes through ``august_many``.
+    """
+    stats = np.concatenate([
+        august_many(xs, ys, depth)[0]
+        for xs, ys in _seeds.replicate_blocks(
+            seed, _seeds.NULL_TABLE, sims, sampler, sampler, m, n
+        )
+    ])
+    return np.sort(stats)

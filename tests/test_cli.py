@@ -445,6 +445,9 @@ class TestOptions:
          "--cache-dir", "cache"],
         ["test-multi", "d.csv", "--permutations", "5"],
         ["power", "--tests", "energy", "--permutations", "99"],
+        # No option picks a sampling law for a null table.
+        ["null-table", "--m", "24", "--n", "24", "--generator", "uniform",
+         "--cache-dir", "cache"],
     ])
     def test_refused_argv_is_usage_error(self, argv, workdir, monkeypatch, capsys):
         # Refused before any file is read: the named files need not exist.
@@ -503,7 +506,7 @@ class TestReportKeys:
         parsed = json.load(open(report))
         assert set(parsed) == TEST_KEYS
         assert set(parsed["null_table"]) == {
-            "sims", "seed", "generator_tag", "cache_hit", "path",
+            "sims", "seed", "cache_hit", "path",
         }
         assert set(parsed["config"]) == TEST_CONFIG_KEYS
 

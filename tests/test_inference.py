@@ -1,6 +1,10 @@
+import importlib
+import itertools
 import math
 import os
+import struct
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,9 @@ from august import (
     sylvester,
 )
 from august.inference import _mixture_tail
+from oracles import float_null_statistics
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 class TestNullTable:
@@ -41,10 +48,6 @@ class TestNullTable:
         table = build_null_table(20, 20, 1, 300, seed=1)
         assert np.all(np.diff(table.stats) >= 0)
 
-    def test_generator_tag_recorded(self):
-        table = build_null_table(20, 20, 1, 100, seed=0, generator="normal")
-        assert table.generator_tag == "normal"
-
     def test_size_precondition(self):
         with pytest.raises(SampleTooSmall):
             build_null_table(5, 50, 2, 100, seed=0)  # r = 7
@@ -54,20 +57,50 @@ class TestNullTable:
             build_null_table(20, 20, 1, 99, seed=0)
 
     def test_distribution_freeness_smoke(self):
-        # Same null law regardless of the generating distribution.
-        uniform = build_null_table(64, 64, 2, 2000, seed=5, generator="uniform")
-        normal = build_null_table(64, 64, 2, 2000, seed=6, generator="normal")
-        assert ks_statistic(uniform.stats, normal.stats) < 0.05
+        # Label sequences give the law of normal samples' statistics.
+        labels = build_null_table(64, 64, 2, 2000, seed=5)
+        normal = float_null_statistics(
+            64, 64, 2, 2000, 6, lambda rng, size: rng.standard_normal(size))
+        assert ks_statistic(labels.stats, normal) < 0.05
 
     def test_table_must_be_sorted(self):
         with pytest.raises(ValueError):
-            NullTable(np.array([1.0, 0.5]), 20, 20, 1, 2, 0, "uniform")
+            NullTable(np.array([1.0, 0.5]), 20, 20, 1, 2, 0)
+
+    @pytest.mark.parametrize("m, n, depth", [
+        (3, 4, 1), (6, 6, 1), (5, 8, 1), (7, 8, 2),
+    ])
+    def test_exact_law(self, m, n, depth):
+        # Every one of the C(m + n, n) label sequences is equally likely
+        # under the null.  ``august_many`` on the integer positions of each
+        # gives the exact CDF F; by the DKW inequality a table of B draws
+        # from F has sup |F_B - F| above sqrt(ln(2 / alpha) / (2 B)) with
+        # probability at most alpha = 1e-4.
+        sims, alpha = 20_000, 1e-4
+        at_y = np.array(list(itertools.combinations(range(m + n), n)))
+        is_y = np.zeros((len(at_y), m + n), dtype=bool)
+        np.put_along_axis(is_y, at_y, True, axis=1)
+        positions = np.broadcast_to(np.arange(m + n, dtype=np.float64), is_y.shape)
+        exact = np.sort(august_many(
+            positions[~is_y].reshape(-1, m), positions[is_y].reshape(-1, n), depth
+        )[0])
+        atoms = np.unique(exact.round(9))
+        assert np.diff(atoms).min() > 1e-6
+        table = build_null_table(m, n, depth, sims, seed=0).stats
+        # Every drawn statistic is one of the exact law's atoms.
+        nearest = np.abs(table[:, None] - atoms).min(axis=1)
+        assert nearest.max() < 1e-9
+        at = atoms + 1e-7
+        exact_cdf = np.searchsorted(exact, at, side="right") / exact.size
+        table_cdf = np.searchsorted(table, at, side="right") / sims
+        bound = math.sqrt(math.log(2 / alpha) / (2 * sims))
+        assert np.abs(table_cdf - exact_cdf).max() <= bound
 
 
 class TestPValue:
     def setup_method(self):
         self.table = NullTable(
-            np.sort(np.arange(101.0)), 20, 20, 1, 101, 0, "uniform"
+            np.sort(np.arange(101.0)), 20, 20, 1, 101, 0
         )
 
     def test_statistic_above_everything(self):
@@ -81,7 +114,7 @@ class TestPValue:
         assert p_value(50.0, self.table) == expected
 
     def test_tied_entries_count_as_exceedances(self):
-        table = NullTable(np.array([0.0, 1.0, 1.0, 2.0]), 20, 20, 1, 4, 0, "u")
+        table = NullTable(np.array([0.0, 1.0, 1.0, 2.0]), 20, 20, 1, 4, 0)
         assert p_value(1.0, table) == (1 + 3) / 5
 
     def test_array_of_statistics(self):
@@ -98,7 +131,6 @@ class TestCachePersistence:
         assert np.array_equal(loaded.stats, table.stats)
         assert (loaded.m, loaded.n, loaded.depth) == (20, 22, 1)
         assert loaded.sims == 150 and loaded.seed == 9
-        assert loaded.generator_tag == "uniform"
 
     def test_byte_stable_across_runs(self, tmp_path):
         table = build_null_table(20, 20, 1, 120, seed=2)
@@ -109,20 +141,20 @@ class TestCachePersistence:
 
     def test_cached_lookup_hits_second_time(self, tmp_path):
         _, hit_first, path_first = cached_null_table(
-            20, 20, 1, 130, 7, "uniform", str(tmp_path))
+            20, 20, 1, 130, 7, str(tmp_path))
         second, hit_second, path_second = cached_null_table(
-            20, 20, 1, 130, 7, "uniform", str(tmp_path))
+            20, 20, 1, 130, 7, str(tmp_path))
         assert not hit_first and hit_second
         assert second.sims == 130
         assert path_first == path_second == null_table_path(
-            str(tmp_path), 20, 20, 1, 130, 7, "uniform")
+            str(tmp_path), 20, 20, 1, 130, 7)
 
     def test_renamed_file_raises(self, tmp_path):
         table = build_null_table(20, 20, 1, 130, seed=7)
         path = save_null_table(table, str(tmp_path))
-        os.rename(path, str(tmp_path / os.path.basename(path).replace("_s7_", "_s8_")))
+        os.rename(path, str(tmp_path / os.path.basename(path).replace("_s7.", "_s8.")))
         with pytest.raises(IOFailure):
-            cached_null_table(20, 20, 1, 130, 8, "uniform", str(tmp_path))
+            cached_null_table(20, 20, 1, 130, 8, str(tmp_path))
 
     def test_concurrent_saves_of_one_key(self, tmp_path):
         table = build_null_table(20, 20, 1, 2000, seed=3)
@@ -142,7 +174,7 @@ class TestCachePersistence:
             thread.join(timeout=60)
         assert not any(thread.is_alive() for thread in threads)
         assert errors == []
-        path = null_table_path(str(tmp_path), 20, 20, 1, 2000, 3, "uniform")
+        path = null_table_path(str(tmp_path), 20, 20, 1, 2000, 3)
         assert os.listdir(tmp_path) == [os.path.basename(path)]
         assert np.array_equal(load_null_table(path).stats, table.stats)
 
@@ -163,6 +195,44 @@ class TestCachePersistence:
         open(path, "wb").write(blob[:-16])
         with pytest.raises(IOFailure):
             load_null_table(path)
+
+
+def with_version(path, version):
+    """The bytes of the table file at ``path`` with its header version set."""
+    blob = bytearray(open(path, "rb").read())
+    blob[8:12] = struct.pack("<I", version)  # after the 8-byte magic
+    return bytes(blob)
+
+
+class TestCacheFormat:
+    """The layout that the benchmark's own reader parses, and old versions."""
+
+    def test_benchmark_reader_parses_saved_table(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(ROOT / "benchmark"))
+        reference = importlib.import_module("reference")
+        table = build_null_table(20, 22, 1, 150, seed=9)
+        key, stats = reference.read_null_table(save_null_table(table, str(tmp_path)))
+        assert key == {"version": 2, "m": 20, "n": 22, "depth": 1, "sims": 150,
+                       "seed": 9, "generator_tag": "uniform"}
+        assert np.array_equal(stats, table.stats)
+
+    def test_version_one_is_refused(self, tmp_path):
+        path = save_null_table(build_null_table(20, 20, 1, 100, seed=1), str(tmp_path))
+        open(path, "wb").write(with_version(path, 1))
+        with pytest.raises(IOFailure):
+            load_null_table(path)
+
+    def test_version_one_file_name_is_not_read(self, tmp_path):
+        # Version-1 files carried the generator tag in their name.
+        path = save_null_table(build_null_table(20, 20, 1, 130, seed=7), str(tmp_path))
+        stale = path.replace(".nulltab", "_uniform.nulltab")
+        open(stale, "wb").write(with_version(path, 1))
+        os.unlink(path)
+        _, hit, got = cached_null_table(20, 20, 1, 130, 7, str(tmp_path))
+        assert not hit and got == path
+        assert sorted(os.listdir(tmp_path)) == sorted(
+            os.path.basename(name) for name in (path, stale))
+        assert load_null_table(path).sims == 130
 
 
 class TestEstimateSigma:
