@@ -9,12 +9,13 @@ The fast kernel gets the identical result in ``O(N log N)`` by sorting:
 the points of one sample with k points of the other at or below them are
 the run between the other sample's k-th and (k+1)-th points in sorted
 order, so each count's tally is a run length, and averaging is the tally
-times each count's cell probabilities.  Those are evaluated in every call,
-for the counts that occur (for a batch, for every count), and no table is
-kept between calls.
-``august_many`` argsorts a batch of replicate pairs into label sequences
-(which sorted points are y points), ``august_plus`` is a batch of one, and
-``august_labels`` starts at the label sequences, all a null replicate needs.
+times each count's cell probabilities.  ``august_many`` argsorts a batch
+of replicate pairs into label sequences (which sorted points are y points)
+and ``august_plus`` is a batch of one; each call evaluates the cell rows
+for the counts that occur (for a batch, for every count) in each chunk.
+``august_labels`` starts at the label sequences, all a null replicate
+needs, and a null table built through it evaluates the rows of every count
+once per table.  No rows are kept after a call.
 A batch uses the cell rows of every count and a single pair only its
 occurring ones, so a row of a larger batch matches ``august_plus`` to the
 last bits (up to 6.1e-16 at 1800/1600, d = 3).  Oracle and kernel agree
@@ -198,21 +199,27 @@ def _summed_cells(tallies, size, cfg):
     return tallies @ cell_probabilities_for_counts(np.arange(size + 1), size, cfg)
 
 
-def _label_cells(is_y, m, cfg):
-    """Averaged cell probabilities ``(p_x, p_y)`` of each label sequence.
+def _run_lengths(marks):
+    """Each row's run lengths of unmarked points around its marked points.
 
-    The x points with exactly k y points at or below them lie between the
-    k-th and (k+1)-th y positions, so the gaps between y positions are the
-    x tallies of counts 0 .. n (and the same with the roles swapped).
+    ``marks`` is a boolean ``(rows, total)`` matrix with ``size`` marked
+    points per row.  Column k of the returned float ``(rows, size + 1)``
+    array is how many unmarked points lie between a row's k-th and
+    (k+1)-th marked points: the interior from one subtract of neighbouring
+    flat positions, the first and last columns from the row's start and end.
+    With y points marked, the x points with exactly k y points at or below
+    them are that run, so the row is the x tallies of counts 0 .. size.
     """
-    rows, total = is_y.shape
-    n = total - m
-    starts = np.arange(rows)[:, None] * total
-    at_y = np.flatnonzero(is_y).reshape(rows, n) - starts
-    at_x = np.flatnonzero(~is_y).reshape(rows, m) - starts
-    tallies_x = np.diff(at_y, axis=1, prepend=-1, append=total) - 1
-    tallies_y = np.diff(at_x, axis=1, prepend=-1, append=total) - 1
-    return _summed_cells(tallies_x, n, cfg) / m, _summed_cells(tallies_y, m, cfg) / n
+    rows, total = marks.shape
+    at = np.flatnonzero(marks).reshape(rows, -1)
+    size = at.shape[1]
+    out = np.empty((rows, size + 1))
+    np.subtract(at[:, 1:], at[:, :-1], out=out[:, 1:size])
+    out[:, 1:size] -= 1.0
+    starts = np.arange(0, rows * total, total)
+    np.subtract(at[:, 0], starts, out=out[:, 0])
+    np.subtract(starts + (total - 1), at[:, -1], out=out[:, size])
+    return out
 
 
 def _cell_means(xs, ys, depth):
@@ -222,15 +229,17 @@ def _cell_means(xs, ys, depth):
     through in chunks of about 4e6 points.
     """
     reps, m = xs.shape
+    n = ys.shape[1]
     cfg = SubsampleConfig(depth)
     p_x = np.empty((reps, cfg.cells))
     p_y = np.empty((reps, cfg.cells))
-    chunk = max(1, 4_000_000 // (m + ys.shape[1]))
+    chunk = max(1, 4_000_000 // (m + n))
     for start in range(0, reps, chunk):
         stop = min(start + chunk, reps)
         merged = np.concatenate([xs[start:stop], ys[start:stop]], axis=1)
-        order = np.argsort(merged, axis=1)
-        p_x[start:stop], p_y[start:stop] = _label_cells(order >= m, m, cfg)
+        is_y = np.argsort(merged, axis=1) >= m
+        p_x[start:stop] = _summed_cells(_run_lengths(is_y), n, cfg) / m
+        p_y[start:stop] = _summed_cells(_run_lengths(~is_y), m, cfg) / n
     return p_x, p_y
 
 
@@ -259,11 +268,22 @@ def august_many(xs, ys, depth):
     return _statistics(*_cell_means(xs, ys, depth))
 
 
-def august_labels(is_y, m, depth):
-    """Statistics of boolean rows ``is_y``, each marking which of ``m + n``
-    sorted points are y points: ``august_many`` with no values to sort.
+def august_labels(chunks, m, n, depth):
+    """Statistics of the boolean rows of every chunk in ``chunks``, in order.
+
+    Each row marks which of ``m + n`` sorted points are y points:
+    ``august_many`` with no values to sort.  The cell rows of every count
+    are built once per side for all the chunks.
     """
-    return _statistics(*_label_cells(is_y, m, SubsampleConfig(depth)))[0]
+    cfg = SubsampleConfig(depth)
+    cells_x = cell_probabilities_for_counts(np.arange(n + 1), n, cfg)
+    cells_y = cell_probabilities_for_counts(np.arange(m + 1), m, cfg)
+    stats = []
+    for is_y in chunks:
+        p_x = _run_lengths(is_y) @ cells_x / m
+        p_y = _run_lengths(~is_y) @ cells_y / n
+        stats.append(_statistics(p_x, p_y)[0])
+    return np.concatenate(stats)
 
 
 def cos_angle(result):

@@ -4,8 +4,9 @@ The statistic is exactly distribution-free under the null, so one
 Monte-Carlo null table per ``(m, n, depth, sims, seed)`` serves every
 dataset with matching sizes.  A null replicate is a uniformly random
 label sequence, drawn by ``_seeds.relabellings`` and read by
-``core.august_labels``.  Tables are sorted and can be persisted to a binary
-cache whose header records the key.
+``core.august_labels``, which builds the cell rows of every count once per
+table.  Tables are sorted and can be persisted to a binary cache whose
+header records the key.
 
 ``estimate_sigma`` and ``power_simulation`` draw value pairs from
 ``_seeds.replicate_blocks``, which ``august_many`` takes in blocks of 2048.
@@ -22,7 +23,8 @@ the mode draws no random numbers and costs the same at every N.
 ``estimate_sigma`` simulates the same covariance at finite N and serves as
 the oracle that ``K`` is checked against.  ``alternative_mu`` computes the
 population-level mean of the symmetry vectors under a fixed pair of laws
-by Gauss-Legendre quadrature, which powers a-priori power analysis.
+by Gauss-Legendre quadrature.  It is a library-only tool: no command calls
+it, and ``power_simulation`` estimates power by simulation instead.
 """
 
 import math
@@ -126,18 +128,18 @@ def build_null_table(m, n, depth, sims, seed):
 
     Replicate i is relabelling i of ``m + n`` points in the NULL_TABLE
     domain, in chunks of about 1e6 points, so memory does not grow with N.
+    The cell rows of every count are built once for the whole table, one
+    set per side, and are not kept after the call.
     """
     r = minimum_sample_size(depth)
     if m < r or n < r:
         raise SampleTooSmall(f"need m, n >= {r} at depth {depth}")
     if sims < 100:
         raise ValueError("sims must be at least 100")
-    stats = np.concatenate([
-        august_labels(idx >= m, m, depth)
-        for _, idx in _seeds.relabellings(
-            seed, _seeds.NULL_TABLE, sims, m + n, max(1, 1_000_000 // (m + n))
-        )
-    ])
+    chunks = _seeds.relabellings(
+        seed, _seeds.NULL_TABLE, sims, m + n, max(1, 1_000_000 // (m + n))
+    )
+    stats = august_labels((idx >= m for _, idx in chunks), m, n, depth)
     return NullTable(np.sort(stats), m, n, depth, sims, seed)
 
 
@@ -327,6 +329,7 @@ def alternative_mu(spec, depth, quadrature_nodes=128):
     ``w(u) = cdf_y(quantile_x(u))`` and are evaluated by fixed-order
     Gauss-Legendre quadrature; the result is checked to be stable under
     node doubling.  Returns the zero vector when the two laws coincide.
+    A library-only tool: no command or other function calls it.
     """
     if quadrature_nodes < 64:
         raise ValueError("quadrature_nodes must be at least 64")

@@ -107,17 +107,21 @@ class TestAlgorithmEquivalence:
         assert np.array_equal(p_value(stats, table), p_value(single_stats, table))
 
 
-def recorded_tallies(monkeypatch, xs, ys, depth):
-    """The x and y tallies that ``_cell_means`` passes to ``_summed_cells``."""
+def recorded_tallies(monkeypatch, compute):
+    """The x and y tallies of every ``_run_lengths`` call in ``compute()``.
+
+    They are the arrays both kernels multiply by the cell rows, x then y.
+    """
     seen = []
-    summed_cells = core._summed_cells
+    run_lengths = core._run_lengths
 
-    def record(tallies, size, cfg):
+    def record(marks):
+        tallies = run_lengths(marks)
         seen.append(tallies.copy())
-        return summed_cells(tallies, size, cfg)
+        return tallies
 
-    monkeypatch.setattr(core, "_summed_cells", record)
-    core._cell_means(xs, ys, depth)
+    monkeypatch.setattr(core, "_run_lengths", record)
+    compute()
     assert len(seen) == 2
     return seen
 
@@ -128,6 +132,19 @@ def direct_tallies(references, points):
         np.bincount(core._count_at_or_below(ref, pts), minlength=ref.size + 1)
         for ref, pts in zip(references, points)
     ])
+
+
+def label_rows(m, n, rng):
+    """Label sequences: all x first, all y first, alternating from either
+    side (the longer sample's rest last), then three random ones."""
+    def alternating(first_x):
+        keys = np.concatenate([2 * np.arange(m) + (not first_x),
+                               2 * np.arange(n) + first_x])
+        return np.argsort(keys, kind="stable") >= m
+
+    ordered = np.arange(m + n) >= m
+    return np.array([ordered, ordered[::-1], alternating(True), alternating(False),
+                     *(rng.permutation(ordered) for _ in range(3))])
 
 
 class TestTallies:
@@ -142,7 +159,8 @@ class TestTallies:
                        *rng.random((3, r))])
         ys = np.array([grid[r:], grid[:r], grid[1::2], grid[0::2],
                        *rng.random((3, r))])
-        tallies_x, tallies_y = recorded_tallies(monkeypatch, xs, ys, depth)
+        tallies_x, tallies_y = recorded_tallies(
+            monkeypatch, lambda: core._cell_means(xs, ys, depth))
         assert np.array_equal(tallies_x, direct_tallies(ys, xs))
         assert np.array_equal(tallies_y, direct_tallies(xs, ys))
         assert np.array_equal(tallies_x[0], [r] + [0] * r)
@@ -154,9 +172,26 @@ class TestTallies:
     def test_uneven_batches_and_a_batch_of_one(self, reps, m, n, monkeypatch):
         rng = np.random.default_rng(m * n + reps)
         xs, ys = rng.normal(size=(reps, m)), rng.normal(0.4, 1.3, size=(reps, n))
-        tallies_x, tallies_y = recorded_tallies(monkeypatch, xs, ys, 1)
+        tallies_x, tallies_y = recorded_tallies(
+            monkeypatch, lambda: core._cell_means(xs, ys, 1))
         assert np.array_equal(tallies_x, direct_tallies(ys, xs))
         assert np.array_equal(tallies_y, direct_tallies(xs, ys))
+
+    @pytest.mark.parametrize("m,n,depth", [(3, 3, 1), (15, 15, 3), (37, 52, 1)])
+    def test_label_rows_of_the_table_kernel(self, m, n, depth, monkeypatch):
+        # The table kernel takes the first and last runs from each row's
+        # start and end, apart from the interior.
+        is_y = label_rows(m, n, np.random.default_rng(m + n))
+        tallies_x, tallies_y = recorded_tallies(
+            monkeypatch, lambda: core.august_labels([is_y], m, n, depth))
+        at = np.broadcast_to(np.arange(m + n), is_y.shape)
+        xs, ys = at[~is_y].reshape(-1, m), at[is_y].reshape(-1, n)
+        assert np.array_equal(tallies_x, direct_tallies(ys, xs))
+        assert np.array_equal(tallies_y, direct_tallies(xs, ys))
+        assert np.array_equal(tallies_x[0], [m] + [0] * n)
+        assert np.array_equal(tallies_y[0], [0] * m + [n])
+        assert np.array_equal(tallies_x[1], [0] * n + [m])
+        assert np.array_equal(tallies_y[1], [n] + [0] * m)
 
 
 class TestLargeSamples:

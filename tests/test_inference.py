@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
+from august import _seeds, core
 from august import (
     AlternativeSpec,
     IOFailure,
@@ -95,6 +96,41 @@ class TestNullTable:
         table_cdf = np.searchsorted(table, at, side="right") / sims
         bound = math.sqrt(math.log(2 / alpha) / (2 * sims))
         assert np.abs(table_cdf - exact_cdf).max() <= bound
+
+    @pytest.mark.parametrize("m, n, depth, sims, seed", [
+        (300, 320, 3, 5000, 9),  # 4 chunks of 1612 rows, one across a 2048 block
+        (20, 22, 1, 2500, 0),
+    ])
+    def test_table_bytes_equal_the_float_kernel(self, m, n, depth, sims, seed):
+        # The label kernel and ``august_many`` on the integer sorted
+        # positions of each relabelling's x and y points, chunk by chunk,
+        # give the same bytes.
+        total = m + n
+        positions = np.arange(total, dtype=np.float64)
+        stats = []
+        for _, idx in _seeds.relabellings(
+            seed, _seeds.NULL_TABLE, sims, total, max(1, 1_000_000 // total)
+        ):
+            is_y = idx >= m
+            at = np.broadcast_to(positions, idx.shape)
+            stats.append(august_many(
+                at[~is_y].reshape(-1, m), at[is_y].reshape(-1, n), depth
+            )[0])
+        expected = np.sort(np.concatenate(stats))
+        table = build_null_table(m, n, depth, sims, seed)
+        assert table.stats.tobytes() == expected.tobytes()
+
+    def test_cell_rows_built_once_per_side(self, monkeypatch):
+        calls = []
+        rows = core.cell_probabilities_for_counts
+
+        def count(counts, size, cfg):
+            calls.append((len(counts), size))
+            return rows(counts, size, cfg)
+
+        monkeypatch.setattr(core, "cell_probabilities_for_counts", count)
+        build_null_table(300, 320, 1, 3300, seed=4)  # 3 chunks of 1612 rows
+        assert sorted(calls) == [(301, 300), (321, 320)]
 
 
 class TestPValue:
