@@ -10,7 +10,7 @@ Two contrasts at m = n = 128, alpha = 0.05:
 import numpy as np
 
 from august import baseline_permutation_test, build_null_table, power_simulation
-from august._seeds import POWER_TRIAL, replicate_rng
+from august._seeds import POWER_TRIAL, replicate_streams
 from august.families import UNIVARIATE_FAMILIES, normal_mixture_sampler
 
 m = n = 128
@@ -35,8 +35,8 @@ august_power = power_simulation(
     build_null_table(m, n, 3, 2000, seed=9), alpha=0.05, reps=reps, seed=9,
 )
 ks_rejections = 0
-for i in range(reps):
-    rng = replicate_rng(9, POWER_TRIAL, i)
+# The pairs power_simulation drew above, by the same stream rule.
+for i, rng in enumerate(replicate_streams(9, POWER_TRIAL, reps)):
     x = rng.standard_normal(m)
     y = mixture(rng, n)
     if baseline_permutation_test("ks", x, y, 199, seed=100 + i).p_value <= 0.05:

@@ -49,7 +49,6 @@ from .hadamard import SymmetryVector, fwht, sylvester, symmetry_statistics
 from .hypergeom import CellProbabilities, SubsampleConfig, augmented_cdf
 from .inference import (
     AlternativeSpec,
-    AsymptoticConfig,
     NullTable,
     alternative_mu,
     asymptotic_p_value,
@@ -93,7 +92,7 @@ __all__ = [
     # Hadamard machinery
     "SymmetryVector", "sylvester", "fwht", "symmetry_statistics",
     # inference
-    "NullTable", "AsymptoticConfig", "AlternativeSpec", "build_null_table",
+    "NullTable", "AlternativeSpec", "build_null_table",
     "p_value", "estimate_sigma", "limit_covariance", "limit_weights",
     "asymptotic_p_value", "alternative_mu",
     "power_simulation", "null_table_path", "save_null_table",

@@ -1,13 +1,17 @@
 """The replicate engine: seeded streams, replicate blocks and add-one p-values.
 
 Every stochastic operation derives its streams from ``(seed, domain,
-index)``.  ``replicate_blocks`` draws value pairs, one stream per replicate;
-``relabellings`` draws index orders (the permutation tests and, read as
-label sequences, the null tables), one stream per block of ``BLOCK``.
+index)`` by one rule, ``replicate_streams``: replicate i of a domain draws
+next, in order, from the stream of block ``i // BLOCK``.  ``replicate_blocks``
+draws value pairs (power and covariance replicates) and ``relabellings``
+draws index orders (the permutation tests and, read as label sequences, the
+null tables) through it, in chunks whose size does not change the draws.
 Aggregation is order-independent (counts, sums, sorted pools), so which
 draws a result uses does not depend on scheduling or chunking.  Domains
 keep the streams of different operations disjoint under one user seed.
 """
+
+import itertools
 
 import numpy as np
 
@@ -31,15 +35,29 @@ def replicate_rng(seed, domain, index=0):
     return np.random.default_rng(np.random.SeedSequence((seed, domain, index)))
 
 
-def replicate_blocks(seed, domain, reps, gen_x, gen_y, m, n):
-    """Yield ``(xs, ys)`` stacks of up to ``BLOCK`` replicate pairs.
+def replicate_streams(seed, domain, count):
+    """Yield the generator that replicate i draws from, for i < ``count``.
 
-    Replicate i draws x, then y, from ``replicate_rng(seed, domain, i)``.
+    Replicate i draws next, in order, from ``replicate_rng(seed, domain,
+    i // BLOCK)``: each block of ``BLOCK`` replicates shares one stream.
     """
-    for start in range(0, reps, BLOCK):
-        size = min(BLOCK, reps - start)
+    for block in range(0, count, BLOCK):
+        yield from itertools.repeat(
+            replicate_rng(seed, domain, block // BLOCK), min(BLOCK, count - block)
+        )
+
+
+def replicate_blocks(seed, domain, reps, gen_x, gen_y, m, n, rows):
+    """Yield ``(xs, ys)`` stacks of up to ``rows`` replicate pairs.
+
+    Replicate i draws x, then y, from its ``replicate_streams`` generator,
+    so the pairs do not depend on ``rows``.
+    """
+    streams = replicate_streams(seed, domain, reps)
+    for start in range(0, reps, rows):
+        size = min(rows, reps - start)
         for row in range(size):
-            rng = replicate_rng(seed, domain, start + row)
+            rng = next(streams)
             x, y = gen_x(rng, m), gen_y(rng, n)
             if row == 0:  # a draw is a vector of values or a matrix of points
                 xs = np.empty((size,) + x.shape)
@@ -51,21 +69,15 @@ def replicate_blocks(seed, domain, reps, gen_x, gen_y, m, n):
 def relabellings(seed, domain, permutations, total, rows):
     """Yield ``(start, idx)`` chunks of up to ``rows`` relabellings of ``total`` points.
 
-    Relabelling i, whatever ``rows`` is, is the (i mod ``BLOCK``)-th
-    ``permutation(total)`` drawn from ``replicate_rng(seed, domain, i // BLOCK)``.
+    Relabelling i, whatever ``rows`` is, is the ``permutation(total)`` that
+    replicate i draws from its ``replicate_streams`` generator.
     """
+    streams = replicate_streams(seed, domain, permutations)
     for start in range(0, permutations, rows):
         idx = np.empty((min(rows, permutations - start), total), dtype=np.int64)
         for row in range(idx.shape[0]):
-            if (start + row) % BLOCK == 0:
-                rng = replicate_rng(seed, domain, (start + row) // BLOCK)
-            idx[row] = rng.permutation(total)
+            idx[row] = next(streams).permutation(total)
         yield start, idx
-
-
-def nested_seed(seed, index):
-    """Seed for the test nested in replicate ``index`` of a power study."""
-    return int(replicate_rng(seed, NESTED_TEST, index).integers(2**63))
 
 
 def add_one_p_value(null, statistic):

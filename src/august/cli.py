@@ -300,19 +300,16 @@ def cmd_null_table(args):
 def _rejection_rate(test, gen_x, gen_y, args):
     """Share of replicates whose permutation test ``test`` has p <= alpha.
 
-    Replicate i draws its pair from power-trial stream i and the nested
-    test's seed from nested-test stream i.
+    Replicate i draws its pair, one at a time, as ``power_simulation``
+    does, and the nested test's seed from the NESTED_TEST block stream.
     """
-    pairs = (
-        pair
-        for xs, ys in _seeds.replicate_blocks(
-            args.seed, _seeds.POWER_TRIAL, args.reps, gen_x, gen_y, args.m, args.n
-        )
-        for pair in zip(xs, ys)
+    pairs = _seeds.replicate_blocks(
+        args.seed, _seeds.POWER_TRIAL, args.reps, gen_x, gen_y, args.m, args.n, 1
     )
+    nested = _seeds.replicate_streams(args.seed, _seeds.NESTED_TEST, args.reps)
     rejections = 0
-    for i, (x, y) in enumerate(pairs):
-        seed = _seeds.nested_seed(args.seed, i)
+    for ((x,), (y,)), rng in zip(pairs, nested):
+        seed = int(rng.integers(2**63))
         if test == "august-multi":
             pval = permutation_p_value(x, y, args.multi_depth, args.permutations, seed)
         else:

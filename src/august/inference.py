@@ -9,8 +9,10 @@ table.  Tables are sorted and can be persisted to a binary cache whose
 header records the key.
 
 ``estimate_sigma`` and ``power_simulation`` draw value pairs from
-``_seeds.replicate_blocks``, which ``august_many`` takes in blocks of 2048.
-Every add-one p-value, here and in the permutation tests, comes from
+``_seeds.replicate_blocks``, under the same block-stream rule as the
+tables, and ``august_many`` takes them in chunks of about 1e6 points, so
+memory does not grow with the number of replicates.  Every add-one
+p-value, here and in the permutation tests, comes from
 ``_seeds.add_one_p_value``.
 
 The asymptotic mode reads the statistic's limit law in closed form.
@@ -44,7 +46,6 @@ from .hypergeom import SubsampleConfig
 
 __all__ = [
     "NullTable",
-    "AsymptoticConfig",
     "AlternativeSpec",
     "build_null_table",
     "p_value",
@@ -90,24 +91,6 @@ class NullTable:
 
 
 @dataclass(frozen=True)
-class AsymptoticConfig:
-    """A null covariance of the symmetry vectors, simulated at finite N."""
-
-    lam: float
-    sigma: np.ndarray
-    calibration_N: int
-    calibration_reps: int
-
-    def __post_init__(self):
-        sigma = np.asarray(self.sigma, dtype=np.float64)
-        if np.abs(sigma - sigma.T).max() > 1e-9:
-            raise ValueError("sigma must be symmetric")
-        object.__setattr__(self, "sigma", (sigma + sigma.T) / 2.0)
-        if not 0.0 < self.lam < 1.0:
-            raise ValueError("lam must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
 class AlternativeSpec:
     """A fixed pair of continuous laws for power analysis.
 
@@ -121,6 +104,11 @@ class AlternativeSpec:
     cdf_y: callable
     quantile_x: callable
     label: str = ""
+
+
+def _chunk_rows(total):
+    """Replicates of ``total`` points per chunk: about 1e6 points, at least one."""
+    return max(1, 1_000_000 // total)
 
 
 def build_null_table(m, n, depth, sims, seed):
@@ -137,7 +125,7 @@ def build_null_table(m, n, depth, sims, seed):
     if sims < 100:
         raise ValueError("sims must be at least 100")
     chunks = _seeds.relabellings(
-        seed, _seeds.NULL_TABLE, sims, m + n, max(1, 1_000_000 // (m + n))
+        seed, _seeds.NULL_TABLE, sims, m + n, _chunk_rows(m + n)
     )
     stats = august_labels((idx >= m for _, idx in chunks), m, n, depth)
     return NullTable(np.sort(stats), m, n, depth, sims, seed)
@@ -146,19 +134,22 @@ def build_null_table(m, n, depth, sims, seed):
 def p_value(statistic, table):
     """Add-one Monte-Carlo p-value: (1 + #{t >= S}) / (sims + 1).
 
-    ``statistic`` may be a number or an array of them.  The add-one
-    convention guarantees p > 0 and a valid test at any finite table size.
+    ``statistic`` may be a number or an array of them, all finite.  The
+    add-one convention guarantees p > 0 and a valid test at any finite
+    table size.
     """
     if table.stats.size == 0:
         raise ValueError("null table is empty")
+    if not np.isfinite(statistic).all():
+        raise ValueError("statistic must be finite")
     return _seeds.add_one_p_value(table.stats, statistic)
 
 
 def estimate_sigma(m, n, depth, reps, seed):
-    """Sample covariance of sqrt(N) * (s_x, s_y) under the null.
+    """Sample covariance matrix of sqrt(N) * (s_x, s_y) under the null.
 
-    Times ``lam (1 - lam)``, its x-block estimates ``limit_covariance``;
-    the tests check the closed form against it.
+    Times ``lam (1 - lam)``, with ``lam = m / N``, its x-block estimates
+    ``limit_covariance``; the tests check the closed form against it.
     """
     if reps < 1000:
         raise ValueError("reps must be at least 1000")
@@ -166,17 +157,10 @@ def estimate_sigma(m, n, depth, reps, seed):
     rows = [
         np.hstack(august_many(xs, ys, depth)[1:])
         for xs, ys in _seeds.replicate_blocks(
-            seed, _seeds.SIGMA, reps, uniform, uniform, m, n
+            seed, _seeds.SIGMA, reps, uniform, uniform, m, n, _chunk_rows(m + n)
         )
     ]
-    scaled = np.sqrt(m + n) * np.vstack(rows)
-    sigma = np.cov(scaled, rowvar=False)
-    return AsymptoticConfig(
-        lam=m / (m + n),
-        sigma=sigma,
-        calibration_N=m + n,
-        calibration_reps=reps,
-    )
+    return np.cov(np.sqrt(m + n) * np.vstack(rows), rowvar=False)
 
 
 @lru_cache(maxsize=None)
@@ -370,14 +354,17 @@ def power_simulation(gen_x, gen_y, table, alpha, reps, seed):
 
     ``gen_x`` and ``gen_y`` are seeded samplers ``f(rng, size)``.  The
     sizes and depth are the null table's, and every replicate's p-value
-    comes from it; replicate draws use per-replicate streams, so the
-    result is deterministic given ``seed``.
+    comes from it.  Replicate i draws its pair from the POWER_TRIAL block
+    stream of ``seed`` (``_seeds.replicate_streams``), so the result is
+    deterministic given ``seed``; pairs are scored in chunks of about 1e6
+    points, so memory does not grow with ``reps``.
     """
     if reps < 100:
         raise ValueError("reps must be at least 100")
     rejections = 0
     for xs, ys in _seeds.replicate_blocks(
-        seed, _seeds.POWER_TRIAL, reps, gen_x, gen_y, table.m, table.n
+        seed, _seeds.POWER_TRIAL, reps, gen_x, gen_y, table.m, table.n,
+        _chunk_rows(table.m + table.n),
     ):
         pvals = p_value(august_many(xs, ys, table.depth)[0], table)
         rejections += int(np.count_nonzero(pvals <= alpha))

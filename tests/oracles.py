@@ -191,12 +191,14 @@ def float_null_statistics(m, n, depth, sims, seed, sampler):
     """Sorted null statistics of ``sims`` value pairs drawn by ``sampler``.
 
     Replicate i draws x and then y with ``sampler(rng, size)`` from its own
-    stream ``(seed, NULL_TABLE, i)`` and goes through ``august_many``.
+    stream ``(seed, NULL_TABLE, i)``, unlike the package's block streams,
+    and goes through ``august_many`` in chunks of 2048 replicates.
     """
-    stats = np.concatenate([
-        august_many(xs, ys, depth)[0]
-        for xs, ys in _seeds.replicate_blocks(
-            seed, _seeds.NULL_TABLE, sims, sampler, sampler, m, n
-        )
-    ])
-    return np.sort(stats)
+    stats = []
+    for start in range(0, sims, 2048):
+        rngs = [_seeds.replicate_rng(seed, _seeds.NULL_TABLE, i)
+                for i in range(start, min(sims, start + 2048))]
+        xs = np.array([sampler(rng, m) for rng in rngs])
+        ys = np.array([sampler(rng, n) for rng in rngs])
+        stats.append(august_many(xs, ys, depth)[0])
+    return np.sort(np.concatenate(stats))

@@ -264,8 +264,8 @@ def test_criterion_10_power_ordering():
         alpha=0.05, reps=reps, seed=77,
     )
     ks_rejections = 0
-    for i in range(reps):
-        rng = _seeds.replicate_rng(77, _seeds.POWER_TRIAL, i)
+    # The pairs power_simulation drew above, by the same stream rule.
+    for i, rng in enumerate(_seeds.replicate_streams(77, _seeds.POWER_TRIAL, reps)):
         x = rng.standard_normal(128)
         y = mixture(rng, 128)
         outcome = A.baseline_permutation_test("ks", x, y, 199, seed=7000 + i)

@@ -357,6 +357,52 @@ class TestCmdPower:
         assert len(seen[0]) == len(seen[1]) == 200
         assert not seen[0] & seen[1]
 
+    def test_one_pair_stream_and_one_nested_stream(self, workdir, monkeypatch):
+        streams = []
+        original = august._seeds.replicate_rng
+
+        def counting(seed, domain, index=0):
+            streams.append((domain, index))
+            return original(seed, domain, index)
+
+        monkeypatch.setattr(august._seeds, "replicate_rng", counting)
+        code = main(["power", "--families", "null", "--tests", "ks",
+                     "--m", "16", "--n", "16", "--reps", "200",
+                     "--permutations", "100", "--seed", "3",
+                     "--report", str(workdir / "p.csv")])
+        assert code == EXIT_OK
+        baseline = [s for s in streams if s[0] == august._seeds.BASELINE]
+        assert len(baseline) == 200  # one stream per nested test's relabellings
+        assert [s for s in streams if s[0] != august._seeds.BASELINE] == [
+            (august._seeds.POWER_TRIAL, 0), (august._seeds.NESTED_TEST, 0)]
+
+    def test_august_and_ks_rows_see_the_same_pairs(self, workdir, monkeypatch):
+        seen = {"august": [], "ks": []}
+        original = august.inference.august_many
+
+        class Outcome:
+            p_value = 1.0
+
+        def recording_many(xs, ys, depth):
+            seen["august"].extend(zip(xs, ys))
+            return original(xs, ys, depth)
+
+        def recording_test(name, x, y, permutations, seed):
+            seen[name].append((x, y))
+            return Outcome()
+
+        monkeypatch.setattr(august.inference, "august_many", recording_many)
+        monkeypatch.setattr(august.cli, "baseline_permutation_test", recording_test)
+        code = main(["power", "--families", "normal-location", "--params", "0.5",
+                     "--tests", "august,ks", "--m", "24", "--n", "20",
+                     "--depth", "2", "--reps", "150", "--sims", "200",
+                     "--seed", "9", "--cache-dir", str(workdir / "cache"),
+                     "--report", str(workdir / "p.csv")])
+        assert code == EXIT_OK
+        assert len(seen["august"]) == len(seen["ks"]) == 150
+        for (xa, ya), (xk, yk) in zip(seen["august"], seen["ks"]):
+            assert np.array_equal(xa, xk) and np.array_equal(ya, yk)
+
     def test_bivariate_family_runs(self, workdir):
         out = str(workdir / "power.csv")
         code = main(["power", "--families", "mvn-location", "--params", "1.5",

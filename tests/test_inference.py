@@ -4,6 +4,7 @@ import math
 import os
 import struct
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -158,6 +159,12 @@ class TestPValue:
         expected = [p_value(s, self.table) for s in stats]
         assert np.array_equal(p_value(stats, self.table), expected)
 
+    @pytest.mark.parametrize(
+        "statistic", [np.nan, np.inf, -np.inf, np.array([1.0, np.nan, 50.0])])
+    def test_non_finite_statistic_raises(self, statistic):
+        with pytest.raises(ValueError, match="statistic must be finite"):
+            p_value(statistic, self.table)
+
 
 class TestCachePersistence:
     def test_round_trip(self, tmp_path):
@@ -273,10 +280,10 @@ class TestCacheFormat:
 
 class TestEstimateSigma:
     def test_symmetric_positive_diagonal(self):
-        cfg = estimate_sigma(40, 50, 2, reps=1000, seed=3)
-        assert np.abs(cfg.sigma - cfg.sigma.T).max() <= 1e-12
-        assert np.all(np.diag(cfg.sigma) > 0)
-        assert cfg.lam == pytest.approx(40 / 90)
+        sigma = estimate_sigma(40, 50, 2, reps=1000, seed=3)
+        assert sigma.shape == (6, 6)
+        assert np.abs(sigma - sigma.T).max() <= 1e-12
+        assert np.all(np.diag(sigma) > 0)
 
     def test_reps_floor(self):
         with pytest.raises(ValueError):
@@ -284,8 +291,8 @@ class TestEstimateSigma:
 
     def test_stabilizes_with_sample_size(self):
         # Entries settle as N grows at fixed lambda: N = 2e3 vs N = 2e4.
-        small = estimate_sigma(1000, 1000, 1, reps=2000, seed=1).sigma
-        large = estimate_sigma(10_000, 10_000, 1, reps=2000, seed=2).sigma
+        small = estimate_sigma(1000, 1000, 1, reps=2000, seed=1)
+        large = estimate_sigma(10_000, 10_000, 1, reps=2000, seed=2)
         scale = np.abs(large).max()
         assert np.abs(small - large).max() / scale < 0.15
 
@@ -298,8 +305,9 @@ class TestLimitLaw:
 
     def test_x_block_of_the_simulated_covariance_is_k(self):
         reps = 4000
-        cfg = estimate_sigma(500, 500, 3, reps=reps, seed=1)
-        block = cfg.sigma[:7, :7] * cfg.lam * (1.0 - cfg.lam)
+        sigma = estimate_sigma(500, 500, 3, reps=reps, seed=1)
+        lam = 500 / (500 + 500)
+        block = sigma[:7, :7] * lam * (1.0 - lam)
         k = limit_covariance(3)
         # Standard error of a sample covariance entry of Gaussian vectors.
         se = np.sqrt((np.outer(np.diag(k), np.diag(k)) + k**2) / reps)
@@ -505,6 +513,57 @@ class TestPowerSimulation:
         for lo, hi, se in zip(powers, powers[1:], stderr):
             assert hi >= lo - 2 * se
         assert powers[-1] > powers[0]
+
+    def test_one_stream_per_block_of_replicates(self, monkeypatch):
+        calls = []
+        original = _seeds.replicate_rng
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        table = build_null_table(16, 16, 1, 200, seed=0)
+        monkeypatch.setattr(_seeds, "replicate_rng", counting)
+        power_simulation(
+            lambda rng, size: rng.random(size),
+            lambda rng, size: rng.random(size),
+            table, alpha=0.05, reps=2100, seed=4,
+        )
+        assert calls == [(4, _seeds.POWER_TRIAL, 0), (4, _seeds.POWER_TRIAL, 1)]
+
+    def test_pairs_do_not_depend_on_the_row_chunk(self):
+        def pairs(rows):
+            blocks = list(_seeds.replicate_blocks(
+                8, _seeds.POWER_TRIAL, 2100,
+                lambda rng, size: rng.standard_normal(size),
+                lambda rng, size: rng.random(size) + 1.0, 5, 7, rows))
+            assert all(len(xs) <= rows for xs, _ in blocks)
+            return [np.concatenate(part) for part in zip(*blocks)]
+
+        xs, ys = pairs(1)
+        assert xs.shape == (2100, 5) and ys.shape == (2100, 7)
+        for rows in (7, 2048, 5000):
+            chunked = pairs(rows)
+            assert np.array_equal(chunked[0], xs) and np.array_equal(chunked[1], ys)
+        streams = _seeds.replicate_streams(8, _seeds.POWER_TRIAL, 2100)
+        for x, y, rng in zip(xs, ys, streams):
+            assert np.array_equal(x, rng.standard_normal(5))
+            assert np.array_equal(y, rng.random(7) + 1.0)
+
+    def test_memory_is_bounded_by_a_chunk(self):
+        # 200 pairs of 2e4 + 2e4 values hold 64 MB; a chunk holds about 8 MB.
+        table = NullTable(np.linspace(0.0, 1.0, 100), 20_000, 20_000, 3, 100, 0)
+        tracemalloc.start()
+        try:
+            power_simulation(
+                lambda rng, size: rng.random(size),
+                lambda rng, size: rng.random(size),
+                table, alpha=0.05, reps=200, seed=1,
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 60 * 2**20
 
     def test_reps_floor(self):
         with pytest.raises(ValueError):
