@@ -70,13 +70,21 @@ def relabellings(seed, domain, permutations, total, rows):
     """Yield ``(start, idx)`` chunks of up to ``rows`` relabellings of ``total`` points.
 
     Relabelling i, whatever ``rows`` is, is the ``permutation(total)`` that
-    replicate i draws from its ``replicate_streams`` generator.
+    replicate i draws from its ``replicate_streams`` generator.  ``permuted``
+    makes the same Fisher-Yates draws row by row, in one call per cache-sized
+    piece of each run of rows that share a generator.
     """
     streams = replicate_streams(seed, domain, permutations)
+    piece = max(1, 2**16 // total)  # rows whose copy and shuffle stay in cache
     for start in range(0, permutations, rows):
         idx = np.empty((min(rows, permutations - start), total), dtype=np.int64)
-        for row in range(idx.shape[0]):
-            idx[row] = next(streams).permutation(total)
+        row = 0
+        for rng, run in itertools.groupby(itertools.islice(streams, len(idx))):
+            stop = row + sum(1 for _ in run)
+            for part in np.split(idx[row:stop], range(piece, stop - row, piece)):
+                rng.permuted(np.broadcast_to(np.arange(total), part.shape), axis=1,
+                             out=part)
+            row = stop
         yield start, idx
 
 

@@ -6,12 +6,9 @@ fits and taking the larger of the two univariate statistics yields a
 swap-symmetric multivariate statistic.  Cells of the univariate test then
 correspond to nested elliptical rings centered on the fitted mean.  The
 univariate asymptotic theory does not transfer, so p-values come from a
-permutation test; the statistic is recomputed wholesale (both fits, both
-branches, fresh max) for every relabeling.
-
-One reduction, ``_fit`` and ``_distances`` on a stack of samples, serves
-both: ``fit_mahalanobis`` and ``transform`` are its stack of one, and the
-permutation loop runs it on each chunk of relabelings.
+permutation test, which fits both branches of a whole chunk of
+relabelings by matrix products over the pooled points, under the
+refusals of ``fit_mahalanobis``.
 """
 
 from dataclasses import dataclass
@@ -74,6 +71,11 @@ def _fit(stack, ridge):
     centered = stack - means[:, None, :]
     covs = centered.transpose(0, 2, 1) @ centered / (size - 1)
     covs += ridge * np.eye(dim)
+    return means, covs, _inverse_factors(covs)
+
+
+def _inverse_factors(covs):
+    """Inverse lower Cholesky factors of a stack of covariances, or a refusal."""
     try:
         lowers = np.linalg.cholesky(covs)
     except np.linalg.LinAlgError as exc:
@@ -85,7 +87,7 @@ def _fit(stack, ridge):
             "sample covariance condition number exceeds 1e12; reduce "
             "dimension or pass ridge > 0"
         )
-    return means, covs, np.tril(np.linalg.inv(lowers))
+    return np.tril(np.linalg.inv(lowers))
 
 
 def _distances(stack, means, inverse_factors):
@@ -154,25 +156,35 @@ def _batched_permutation_stats(pooled, m, depth, permutations, seed, ridge):
     """Statistics for seeded random relabelings, computed in batches.
 
     Permutation ``i`` is ``_seeds.relabellings`` row i in the PERMUTATION
-    domain.  Relabeled pooled continuous data is tie-free almost surely,
-    so no tie policy is applied inside the loop.
+    domain; relabeled continuous data is tie-free almost surely, so no tie
+    policy applies.  A chunk's fits are matrix products over the pooled
+    points, centred once (the distances are affine invariant), and pass
+    ``_fit``'s refusals.  Squared distances rank as ``transform``'s do and
+    the statistic reads ranks only: the same bytes unless two pooled
+    distances lie within rounding (about 1e-15 relative) of each other;
+    exact ties, as from duplicate points, stay exact.
     """
     total, dim = pooled.shape
+    z = pooled - pooled.mean(axis=0)
+    outer = (z[:, :, None] * z[:, None, :]).reshape(total, dim * dim)
     out = np.empty(permutations)
     chunk = max(1, 2_000_000 // (total * dim))
     for start, idx in _seeds.relabellings(
         seed, _seeds.PERMUTATION, permutations, total, chunk
     ):
-        xs = pooled[idx[:, :m]]  # (rows, m, dim)
-        ys = pooled[idx[:, m:]]
+        flat = idx + np.arange(0, idx.size, total)[:, None]
+        in_x = np.zeros(idx.shape)
+        in_x.ravel()[flat[:, :m]] = 1.0
         branch_stats = []
-        for fit_on in (xs, ys):
-            means, _, inverse_factors = _fit(fit_on, ridge)
-            branch_stats.append(august_many(
-                _distances(xs, means, inverse_factors),
-                _distances(ys, means, inverse_factors),
-                depth,
-            )[0])
+        for weights, size in ((in_x, m), (1.0 - in_x, total - m)):
+            means = weights @ z / size
+            covs = (weights @ outer).reshape(-1, dim, dim)
+            covs -= size * means[:, :, None] * means[:, None, :]
+            factors = _inverse_factors(covs / (size - 1) + ridge * np.eye(dim))
+            whitened = (factors.reshape(-1, dim) @ z.T).reshape(-1, dim, total)
+            whitened -= factors @ means[:, :, None]
+            squared = np.square(whitened, out=whitened).sum(axis=1).ravel()[flat]
+            branch_stats.append(august_many(squared[:, :m], squared[:, m:], depth)[0])
         out[start:start + len(idx)] = np.maximum(branch_stats[0], branch_stats[1])
     return out
 

@@ -135,9 +135,11 @@ class TestPermutationPValue:
             direct = multivariate_statistic(pooled[idx[:35]], pooled[idx[35:]], 2)
             assert abs(batched[i] - direct) <= 1e-12
 
-    def test_loop_distances_are_the_observed_reduction(self, monkeypatch):
-        # The loop fits and transforms each relabelling exactly as
-        # fit_mahalanobis and transform fit and transform observed data.
+    def test_loop_distances_rank_as_the_observed_reduction(self, monkeypatch):
+        # The statistic reads ranks only: under every relabelling and branch
+        # the loop's squared distances order the pooled points as the
+        # distances of fit_mahalanobis and transform do, and their roots
+        # agree with those distances to rounding.
         rng = np.random.default_rng(16)
         pooled = np.vstack([rng.standard_normal((35, 3)),
                             rng.standard_normal((40, 3)) * 1.3])
@@ -156,8 +158,25 @@ class TestPermutationPValue:
             x, y = pooled[idx[:35]], pooled[idx[35:]]
             for model, tx, ty in ((fit_mahalanobis(x), x_fit_x, x_fit_y),
                                   (fit_mahalanobis(y), y_fit_x, y_fit_y)):
-                assert np.array_equal(tx[i], transform(x, model))
-                assert np.array_equal(ty[i], transform(y, model))
+                loop = np.concatenate([tx[i], ty[i]])
+                direct = np.concatenate([transform(x, model), transform(y, model)])
+                assert np.array_equal(np.argsort(loop), np.argsort(direct))
+                assert np.allclose(np.sqrt(loop), direct, rtol=1e-12, atol=0)
+
+    def test_singular_relabelling_is_refused_as_fit_refuses(self):
+        # Both observed fits succeed; some relabelling puts the three
+        # collinear points alone in the x sample.
+        x = np.random.default_rng(4).normal(size=(3, 2))
+        y = np.vstack([[(k, 2 * k + 1) for k in range(3)],
+                       np.random.default_rng(5).normal(size=(2, 2))])
+        assert np.isfinite(multivariate_statistic(x, y, 1))
+        with pytest.raises(SingularCovariance) as refused:
+            permutation_p_value(x, y, 1, 100, 2)
+        assert str(refused.value) == (
+            "sample covariance is singular; reduce dimension or pass ridge > 0"
+        )
+        with pytest.raises(ValueError):
+            permutation_p_value(x, y, 1, 100, 2, ridge=-1)
 
     def test_null_calibration_smoke(self):
         # Level at alpha = 0.05 over modest trials; the full-scale version
