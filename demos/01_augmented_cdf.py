@@ -30,23 +30,23 @@ print(f"query point x = {x}, depth d = {cfg.depth}, subsample size r = {cfg.r}")
 print()
 
 exact = augmented_cdf(x, y, cfg)
-print(f"closed form:           {exact.probs}   (= 22/35, 13/35)")
+print(f"closed form:           {exact}   (= 22/35, 13/35)")
 print(f"scipy hypergeom sum:   {scipy_cells(x, y, cfg)}")
 print()
 
 # The same comparison at a larger sample and depth.
 big_cfg = SubsampleConfig(depth=3)
 big_y = np.random.default_rng(0).normal(size=1000)
-gap = np.abs(augmented_cdf(0.2, big_y, big_cfg).probs - scipy_cells(0.2, big_y, big_cfg))
+gap = np.abs(augmented_cdf(0.2, big_y, big_cfg) - scipy_cells(0.2, big_y, big_cfg))
 print(f"n = 1000, d = 3: largest gap to scipy over 8 cells = {gap.max():.1e}")
 print()
 
 # The vector depends on x only through the count below it, so any strictly
 # increasing transformation of everything changes nothing.
 mapped = augmented_cdf(np.exp(x), np.exp(y), cfg)
-print(f"after exp-transform:   {mapped.probs}   (rank invariance)")
+print(f"after exp-transform:   {mapped}   (rank invariance)")
 print()
 
 # Extreme points pin the whole mass to an end cell.
-print(f"x below everything: {augmented_cdf(0.0, y, cfg).probs}")
-print(f"x above everything: {augmented_cdf(9.0, y, cfg).probs}")
+print(f"x below everything: {augmented_cdf(0.0, y, cfg)}")
+print(f"x above everything: {augmented_cdf(9.0, y, cfg)}")

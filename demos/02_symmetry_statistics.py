@@ -9,19 +9,19 @@ left/right imbalance, center vs tails, finer alternations, and so on.
 
 import numpy as np
 
-from august import CellProbabilities, fwht, row_label, symmetry_statistics, sylvester
+from august import fwht, row_label, sylvester
 
 depth = 2
 print(f"Sylvester Hadamard matrix at depth {depth}:")
 print(sylvester(depth))
 print()
 
-probs = CellProbabilities(np.array([0.35, 0.40, 0.15, 0.10]), depth)
-sv = symmetry_statistics(probs)
-print(f"cell probabilities: {probs.probs}")
-print(f"symmetry statistics: {sv.stats}")
+probs = np.array([0.35, 0.40, 0.15, 0.10])
+stats = fwht(probs)[1:]  # the first coordinate is the total mass, 1
+print(f"cell probabilities: {probs}")
+print(f"symmetry statistics: {stats}")
 print()
-for i, value in enumerate(sv.stats):
+for i, value in enumerate(stats):
     row = i + 2
     print(f"  row {row}: {value:+.2f}   {row_label(depth, row)}")
 print()
@@ -35,5 +35,4 @@ print(f"fwht(v)        = {fwht(v)}")
 print(f"H @ v          = {sylvester(depth) @ v}")
 
 # Uniform cells carry no signal at all.
-uniform = CellProbabilities(np.full(4, 0.25), depth)
-print(f"uniform cells -> {symmetry_statistics(uniform).stats}")
+print(f"uniform cells -> {fwht(np.full(4, 0.25))[1:]}")

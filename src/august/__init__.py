@@ -45,8 +45,8 @@ from .errors import (
     SingularCovariance,
     TiesPresent,
 )
-from .hadamard import SymmetryVector, fwht, sylvester, symmetry_statistics
-from .hypergeom import CellProbabilities, SubsampleConfig, augmented_cdf
+from .hadamard import fwht, sylvester
+from .hypergeom import SubsampleConfig, augmented_cdf
 from .inference import (
     AlternativeSpec,
     NullTable,
@@ -88,9 +88,9 @@ __all__ = [
     "AugustResult", "TiePolicy", "august", "august_plus", "august_many",
     "cos_angle", "minimum_sample_size",
     # hypergeometric machinery
-    "CellProbabilities", "SubsampleConfig", "augmented_cdf",
+    "SubsampleConfig", "augmented_cdf",
     # Hadamard machinery
-    "SymmetryVector", "sylvester", "fwht", "symmetry_statistics",
+    "sylvester", "fwht",
     # inference
     "NullTable", "AlternativeSpec", "build_null_table",
     "p_value", "estimate_sigma", "limit_covariance", "limit_weights",

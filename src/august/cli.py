@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _seeds
 from .baselines import baseline_permutation_test
-from .core import TiePolicy, august_plus
+from .core import TiePolicy, _check_samples, august_plus
 from .errors import (
     AugustError,
     IOFailure,
@@ -337,15 +337,16 @@ def _family_tests(family, tests):
 
 def cmd_power(args):
     names = args.families.split(",") if args.families else sorted(UNIVARIATE_FAMILIES)
-    tests = args.tests.split(",")
     families = [get_family(name.strip()) for name in names]
-    # Every sampler is made before any simulation, so a refused parameter
-    # leaves no table and no partial work behind.
+    # Every sampler, and the sizes at --multi-depth, are checked before any
+    # simulation, so a refused parameter leaves no table and no partial work.
     plans = [
-        (family, _family_tests(family, tests),
+        (family, _family_tests(family, args.tests),
          [(p, family.alternative(p)) for p in args.params or family.default_grid])
         for family in families
     ]
+    if any("august-multi" in family_tests for _, family_tests, _ in plans):
+        _check_samples(np.zeros(args.m), np.zeros(args.n), args.multi_depth)
     if any("august" in family_tests for _, family_tests, _ in plans):
         table, _, _ = _null_table(args, args.m, args.n)  # serves every grid point
     out = io.StringIO()
@@ -384,6 +385,9 @@ def _option_type(convert, valid, wanted):
 _fraction = _option_type(float, lambda v: 0 < v < 1, "a number in (0, 1)")
 _positive_int = _option_type(int, lambda v: v >= 1, "an integer >= 1")
 _replicates = _option_type(int, lambda v: v >= 100, "an integer >= 100")
+_POWER_TESTS = ("august", "ks", "energy", "august-multi")
+_test_names = _option_type(lambda text: text.split(","), set(_POWER_TESTS).issuperset,
+                           f"a comma list from {list(_POWER_TESTS)}")
 _finite_floats = _option_type(
     lambda text: [float(field) for field in text.split(",")],
     lambda v: np.isfinite(v).all(), "a comma list of finite numbers",
@@ -483,7 +487,7 @@ def build_parser():
                         f"and {sorted(BIVARIATE_FAMILIES)}")
     p.add_argument("--params", type=_finite_floats, default=None,
                    help="comma list of finite numbers: override parameter grid")
-    p.add_argument("--tests", default="august",
+    p.add_argument("--tests", type=_test_names, default="august",
                    help="comma list of august,ks,energy (univariate); "
                         "bivariate families run august-multi")
     p.add_argument("--m", type=int, default=128)

@@ -1,4 +1,8 @@
-"""Sylvester Hadamard matrices, a fast transform, and symmetry statistics.
+"""Sylvester Hadamard matrices and the fast Walsh-Hadamard transform.
+
+The symmetry statistics of a cell-probability vector ``p`` are
+``fwht(p)[1:]``: the first coordinate is the total mass, and entry ``i``
+of the rest is the contrast of Hadamard row ``i + 2``, in ``[-1, 1]``.
 
 Row indexing is fixed to the Sylvester (natural) order: ``H_2`` is
 ``[[1, 1], [1, -1]]`` and ``H_{2k} = H_2 (x) H_k``.  All interpretation
@@ -6,39 +10,11 @@ output depends on this ordering being stable, e.g. row 3 at depth 3 is
 always the coarse alternating pattern ``(1, 1, -1, -1, 1, 1, -1, -1)``.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DepthOutOfRange, LengthNotPowerOfTwo
 
-__all__ = ["SymmetryVector", "sylvester", "fwht", "symmetry_statistics"]
-
-_RANGE_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class SymmetryVector:
-    """All but the first coordinate of ``H_{2**depth} @ P``.
-
-    Each entry is a signed contrast of cell probabilities, hence lies in
-    ``[-1, 1]``; entry ``i`` (0-based) corresponds to Hadamard row
-    ``i + 2`` in 1-based row numbering.
-    """
-
-    stats: np.ndarray
-    depth: int
-
-    def __post_init__(self):
-        stats = np.asarray(self.stats, dtype=np.float64)
-        object.__setattr__(self, "stats", stats)
-        if stats.shape != ((1 << self.depth) - 1,):
-            raise ValueError(
-                f"expected {(1 << self.depth) - 1} statistics at depth "
-                f"{self.depth}, got shape {stats.shape}"
-            )
-        if np.abs(stats).max() > 1.0 + _RANGE_TOL:
-            raise ValueError("symmetry statistics must lie in [-1, 1]")
+__all__ = ["sylvester", "fwht"]
 
 
 def sylvester(depth):
@@ -75,16 +51,3 @@ def fwht(values):
         half *= 2
     return out
 
-
-def symmetry_statistics(cell_probs):
-    """Symmetry statistics ``(H_{2**d} @ P)`` with the constant row dropped.
-
-    The discarded first coordinate equals the total probability mass and is
-    asserted to be 1 as a cheap integrity check on the input.
-    """
-    transformed = fwht(cell_probs.probs.astype(np.float64))
-    assert abs(transformed[0] - 1.0) <= 1e-12, (
-        f"first Hadamard coordinate {transformed[0]} != 1; "
-        "upstream cell probabilities are inconsistent"
-    )
-    return SymmetryVector(transformed[1:], cell_probs.depth)

@@ -13,7 +13,7 @@ most about one with no logs or exponentials.  Each row is divided by its
 own sum, which by Vandermonde's identity is the exact normaliser.  Counts
 go through in blocks of at most 2048, so its temporaries are bounded by
 one block; only the returned rows grow with the number of counts.
-``augmented_cdf`` is one row of it, for the count below a single point.
+``augmented_cdf`` returns the row for the count below a single point.
 """
 
 import math
@@ -23,13 +23,7 @@ import numpy as np
 
 from .errors import DepthOutOfRange, SampleTooSmall
 
-__all__ = [
-    "CellProbabilities",
-    "SubsampleConfig",
-    "augmented_cdf",
-]
-
-_SUM_TOL = 1e-12
+__all__ = ["SubsampleConfig", "augmented_cdf"]
 
 # Counts per block of ``cell_probabilities_for_counts``.
 _BLOCK = 2048
@@ -68,27 +62,6 @@ class SubsampleConfig:
 
     # Number of subsample success counts mapped into each cell.
     counts_per_cell = 2
-
-
-@dataclass(frozen=True)
-class CellProbabilities:
-    """Length ``2**depth`` probability vector over dyadic cells."""
-
-    probs: np.ndarray
-    depth: int
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=np.float64)
-        object.__setattr__(self, "probs", probs)
-        if probs.shape != (1 << self.depth,):
-            raise ValueError(
-                f"expected {1 << self.depth} cells at depth {self.depth}, "
-                f"got shape {probs.shape}"
-            )
-        if probs.min() < -_SUM_TOL or probs.max() > 1.0 + _SUM_TOL:
-            raise ValueError("cell probabilities must lie in [0, 1]")
-        if abs(probs.sum() - 1.0) > _SUM_TOL:
-            raise ValueError("cell probabilities must sum to 1")
 
 
 def cell_probabilities_for_counts(counts, n, cfg):
@@ -161,12 +134,11 @@ def cell_probabilities_for_counts(counts, n, cfg):
 def augmented_cdf(x, y, cfg):
     """Exact hypergeometric cell probabilities of ``x`` against sample ``y``.
 
-    Coordinate ``k`` (0-based) is the probability that the number of
-    subsampled points at or below ``x`` falls in cell ``k``'s count range
-    ``{2k, 2k + 1}``.  It is the row of ``cell_probabilities_for_counts``
-    for ``#(y <= x)``.
+    Returns the row of ``cell_probabilities_for_counts`` for ``#(y <= x)``:
+    a float64 array of length ``2**depth`` that sums to one.  Coordinate
+    ``k`` (0-based) is the probability that the number of subsampled points
+    at or below ``x`` falls in cell ``k``'s count range ``{2k, 2k + 1}``.
     """
     y = np.asarray(y, dtype=np.float64).ravel()
     count = int(np.count_nonzero(y <= x))
-    row = cell_probabilities_for_counts([count], y.size, cfg)[0]
-    return CellProbabilities(row, cfg.depth)
+    return cell_probabilities_for_counts([count], y.size, cfg)[0]

@@ -31,7 +31,6 @@ from scipy.special import gammaln
 from august import _seeds
 from august.core import august_many
 from august.errors import AugustError, SampleTooSmall
-from august.hypergeom import CellProbabilities
 
 
 class TooManyCombinations(AugustError):
@@ -73,8 +72,7 @@ def log_augmented_cdf(x, y, cfg):
         + log_binomial(n - below, cfg.r - j)
         - log_binomial(n, cfg.r)
     )
-    probs = terms.reshape(cfg.cells, cfg.counts_per_cell).sum(axis=1)
-    return CellProbabilities(probs, cfg.depth)
+    return terms.reshape(cfg.cells, cfg.counts_per_cell).sum(axis=1)
 
 
 def bootstrap_augmented_cdf(x, y, cfg, replicates, seed):
@@ -103,7 +101,7 @@ def bootstrap_augmented_cdf(x, y, cfg, replicates, seed):
         idx = np.minimum((ecdf * cells).astype(np.int64), cells - 1)
         tallies += np.bincount(idx, minlength=cells)
         done += take
-    return CellProbabilities(tallies / replicates, cfg.depth)
+    return tallies / replicates
 
 
 def exhaustive_subsample_cdf(x, y, cfg):
@@ -124,7 +122,7 @@ def exhaustive_subsample_cdf(x, y, cfg):
     tallies = [0] * cfg.cells
     for combo in itertools.combinations(below, cfg.r):
         tallies[sum(combo) // width] += 1
-    return CellProbabilities(np.array(tallies, dtype=np.float64) / total, cfg.depth)
+    return np.array(tallies, dtype=np.float64) / total
 
 
 def ks_statistic(x, y):

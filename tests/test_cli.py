@@ -428,6 +428,21 @@ class TestCmdPower:
         # Refused before any simulation: no table, no report.
         assert not out.exists() and not (workdir / "cache").exists()
 
+    @pytest.mark.parametrize("sizes, error", [
+        (["--multi-depth", "12", "--m", "20", "--n", "20"], "DepthOutOfRange"),
+        (["--depth", "1", "--m", "6", "--n", "6"], "SampleTooSmall"),  # r = 7
+    ])
+    def test_multi_depth_is_checked_before_any_table(self, sizes, error, workdir,
+                                                     capsys):
+        out = workdir / "power.csv"
+        code = main(["power", "--families", "null,mvn-location", "--params", "0.5",
+                     *sizes, "--sims", "100", "--reps", "100",
+                     "--cache-dir", str(workdir / "cache"), "--report", str(out)])
+        assert code == EXIT_PRECONDITION
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == error
+        # Refused before any simulation: no table, no report.
+        assert not out.exists() and not (workdir / "cache").exists()
+
     @pytest.mark.parametrize("family", ["laplace-scale", "mvn-scale"])
     @pytest.mark.parametrize("scale", ["0.0", "-1"])
     def test_scale_family_refuses_nonpositive_scale(self, family, scale,
@@ -491,6 +506,9 @@ class TestOptions:
          "--cache-dir", "cache"],
         ["test-multi", "d.csv", "--permutations", "5"],
         ["power", "--tests", "energy", "--permutations", "99"],
+        # Every test name is checked before the august grid runs.
+        ["power", "--families", "null", "--tests", "august,foo", "--sims", "100",
+         "--reps", "100", "--m", "20", "--n", "20", "--cache-dir", "cache"],
         # No option picks a sampling law for a null table.
         ["null-table", "--m", "24", "--n", "24", "--generator", "uniform",
          "--cache-dir", "cache"],

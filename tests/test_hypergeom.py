@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from august import (
-    CellProbabilities,
     DepthOutOfRange,
     SampleTooSmall,
     SubsampleConfig,
@@ -81,25 +80,11 @@ class TestSubsampleConfig:
             SubsampleConfig(10)
 
 
-class TestCellProbabilities:
-    def test_rejects_wrong_length(self):
-        with pytest.raises(ValueError):
-            CellProbabilities(np.array([0.5, 0.5]), depth=2)
-
-    def test_rejects_bad_sum(self):
-        with pytest.raises(ValueError):
-            CellProbabilities(np.array([0.5, 0.4]), depth=1)
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            CellProbabilities(np.array([1.5, -0.5]), depth=1)
-
-
 class TestAugmentedCdf:
     def test_point_below_sample_hits_first_cell(self):
         y = np.arange(1.0, 40.0)
         for depth in (1, 2, 3):
-            probs = augmented_cdf(0.0, y, SubsampleConfig(depth)).probs
+            probs = augmented_cdf(0.0, y, SubsampleConfig(depth))
             expected = np.zeros(1 << depth)
             expected[0] = 1.0
             assert np.array_equal(probs, expected)
@@ -107,19 +92,29 @@ class TestAugmentedCdf:
     def test_point_above_sample_hits_last_cell(self):
         y = np.arange(1.0, 40.0)
         for depth in (1, 2, 3):
-            probs = augmented_cdf(99.0, y, SubsampleConfig(depth)).probs
+            probs = augmented_cdf(99.0, y, SubsampleConfig(depth))
             expected = np.zeros(1 << depth)
             expected[-1] = 1.0
             assert np.array_equal(probs, expected)
 
     def test_seven_point_worked_case(self):
         # Y = 1..7, x = 3.5, r = 3: P(<=1 success) = (C(3,0)C(4,3) + C(3,1)C(4,2)) / C(7,3)
-        probs = augmented_cdf(3.5, np.arange(1.0, 8.0), SubsampleConfig(1)).probs
+        probs = augmented_cdf(3.5, np.arange(1.0, 8.0), SubsampleConfig(1))
         assert probs == pytest.approx([22 / 35, 13 / 35], abs=1e-14)
 
     def test_sample_too_small(self):
         with pytest.raises(SampleTooSmall):
             augmented_cdf(0.5, np.arange(6.0), SubsampleConfig(2))  # r = 7 > 6
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_returns_the_kernel_row(self, depth):
+        cfg = SubsampleConfig(depth)
+        y = np.random.default_rng(depth).normal(size=50)
+        probs = augmented_cdf(0.3, y, cfg)
+        assert isinstance(probs, np.ndarray) and probs.dtype == np.float64
+        assert probs.shape == (1 << depth,)
+        count = int(np.count_nonzero(y <= 0.3))
+        assert np.array_equal(probs, cell_probabilities_for_counts([count], 50, cfg)[0])
 
     def test_sums_to_one_and_nonnegative(self):
         rng = np.random.default_rng(4)
@@ -129,7 +124,7 @@ class TestAugmentedCdf:
             n = int(rng.integers(cfg.r, 60))
             y = rng.normal(size=n)
             x = rng.normal()
-            probs = augmented_cdf(x, y, cfg).probs
+            probs = augmented_cdf(x, y, cfg)
             assert probs.min() >= 0.0
             assert abs(probs.sum() - 1.0) <= 1e-12
 
@@ -137,8 +132,8 @@ class TestAugmentedCdf:
         # Any two evaluation points with the same #{y <= x} give identical output.
         y = np.array([0.0, 1.0, 2.0, 5.0, 9.0, 11.0, 30.0])
         cfg = SubsampleConfig(1)
-        a = augmented_cdf(2.5, y, cfg).probs
-        b = augmented_cdf(4.999, y, cfg).probs
+        a = augmented_cdf(2.5, y, cfg)
+        b = augmented_cdf(4.999, y, cfg)
         assert np.array_equal(a, b)
 
     def test_monotone_transform_invariance(self):
@@ -146,8 +141,8 @@ class TestAugmentedCdf:
         y = rng.normal(size=25)
         x = 0.3
         cfg = SubsampleConfig(2)
-        plain = augmented_cdf(x, y, cfg).probs
-        mapped = augmented_cdf(np.exp(x), np.exp(y), cfg).probs
+        plain = augmented_cdf(x, y, cfg)
+        mapped = augmented_cdf(np.exp(x), np.exp(y), cfg)
         assert np.array_equal(plain, mapped)
 
     @pytest.mark.parametrize("n", [60, 1000, 100_000])
@@ -159,7 +154,7 @@ class TestAugmentedCdf:
             if n < cfg.r:
                 continue
             for count in (5, n // 4, n // 2, n - n // 4, n - 5):
-                probs = augmented_cdf(count - 0.5, y, cfg).probs
+                probs = augmented_cdf(count - 0.5, y, cfg)
                 expected = exact_cells(count, n, cfg)
                 assert np.abs(probs - expected).max() <= 1e-13, (depth, count)
 
@@ -168,12 +163,12 @@ class TestExhaustiveOracle:
     def test_single_subsample_is_indicator(self):
         cfg = SubsampleConfig(1)  # r = 3
         y = np.array([1.0, 2.0, 3.0])
-        probs = exhaustive_subsample_cdf(2.5, y, cfg).probs
+        probs = exhaustive_subsample_cdf(2.5, y, cfg)
         # The one subsample has 2 successes -> second cell
         assert np.array_equal(probs, [0.0, 1.0])
 
     def test_seven_point_worked_case(self):
-        probs = exhaustive_subsample_cdf(3.5, np.arange(1.0, 8.0), SubsampleConfig(1)).probs
+        probs = exhaustive_subsample_cdf(3.5, np.arange(1.0, 8.0), SubsampleConfig(1))
         assert probs == pytest.approx([22 / 35, 13 / 35], abs=1e-15)
 
     def test_matches_closed_form_on_random_instances(self):
@@ -184,8 +179,8 @@ class TestExhaustiveOracle:
             n = int(rng.integers(cfg.r, 13))
             y = rng.normal(size=n)
             x = float(rng.normal())
-            exact = augmented_cdf(x, y, cfg).probs
-            enumerated = exhaustive_subsample_cdf(x, y, cfg).probs
+            exact = augmented_cdf(x, y, cfg)
+            enumerated = exhaustive_subsample_cdf(x, y, cfg)
             assert np.abs(exact - enumerated).max() <= 1e-12
 
     def test_combination_budget_guard(self):
@@ -197,7 +192,7 @@ class TestBootstrapOracle:
     def test_point_below_sample_is_exact(self):
         probs = bootstrap_augmented_cdf(
             -1.0, np.arange(1.0, 20.0), SubsampleConfig(2), replicates=50, seed=0
-        ).probs
+        )
         expected = np.zeros(4)
         expected[0] = 1.0
         assert np.array_equal(probs, expected)
@@ -205,14 +200,14 @@ class TestBootstrapOracle:
     def test_converges_to_exact_values(self):
         cfg = SubsampleConfig(1)
         y = np.arange(1.0, 8.0)
-        probs = bootstrap_augmented_cdf(3.5, y, cfg, replicates=100_000, seed=3).probs
+        probs = bootstrap_augmented_cdf(3.5, y, cfg, replicates=100_000, seed=3)
         assert np.abs(probs - [22 / 35, 13 / 35]).max() < 0.01
 
     def test_deterministic_given_seed(self):
         cfg = SubsampleConfig(2)
         y = np.random.default_rng(0).normal(size=30)
-        a = bootstrap_augmented_cdf(0.1, y, cfg, replicates=5000, seed=12).probs
-        b = bootstrap_augmented_cdf(0.1, y, cfg, replicates=5000, seed=12).probs
+        a = bootstrap_augmented_cdf(0.1, y, cfg, replicates=5000, seed=12)
+        b = bootstrap_augmented_cdf(0.1, y, cfg, replicates=5000, seed=12)
         assert np.array_equal(a, b)
 
     def test_sample_too_small(self):
@@ -223,13 +218,13 @@ class TestBootstrapOracle:
         # Max-norm error should decay like replicates**-0.5.
         cfg = SubsampleConfig(1)
         y = np.arange(1.0, 15.0)
-        exact = augmented_cdf(6.5, y, cfg).probs
+        exact = augmented_cdf(6.5, y, cfg)
         sizes = (400, 1600, 6400, 25600)
         errors = []
         for replicates in sizes:
             errs = [
                 np.abs(
-                    bootstrap_augmented_cdf(6.5, y, cfg, replicates, seed).probs - exact
+                    bootstrap_augmented_cdf(6.5, y, cfg, replicates, seed) - exact
                 ).max()
                 for seed in range(12)
             ]
@@ -247,7 +242,7 @@ class TestCellProbabilitiesForCounts:
                 rows = cell_probabilities_for_counts(np.arange(n + 1), n, cfg)
                 for count in range(n + 1):
                     # count - 0.5 has exactly `count` points of y at or below it
-                    expected = log_augmented_cdf(count - 0.5, y, cfg).probs
+                    expected = log_augmented_cdf(count - 0.5, y, cfg)
                     assert np.abs(rows[count] - expected).max() <= 1e-12
 
     @pytest.mark.parametrize("n", [200, 109_200, 480_127])
