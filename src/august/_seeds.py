@@ -3,12 +3,25 @@
 Every stochastic operation derives its streams from ``(seed, domain,
 index)`` by one rule, ``replicate_streams``: replicate i of a domain draws
 next, in order, from the stream of block ``i // BLOCK``.  ``replicate_blocks``
-draws value pairs (power and covariance replicates) and ``relabellings``
-draws index orders (the permutation tests and, read as label sequences, the
-null tables) through it, in chunks whose size does not change the draws.
-Aggregation is order-independent (counts, sums, sorted pools), so which
-draws a result uses does not depend on scheduling or chunking.  Domains
-keep the streams of different operations disjoint under one user seed.
+draws value pairs (power and covariance replicates) through it, in chunks
+whose size does not change the draws.  Aggregation is order-independent
+(counts, sums, sorted pools), so which draws a result uses does not depend
+on scheduling or chunking.  Domains keep the streams of different
+operations disjoint under one user seed.
+
+``relabellings`` draws the label sequences that every null replicate and
+permutation reads (the null tables, the KS and energy permutation tests
+and the multivariate test): boolean masks with exactly n y labels among
+m + n points.  A block of relabellings draws from two streams: its
+``replicate_rng`` stream gives the bulk labels, and that stream's first
+spawned child the fix-ups.  Each row takes its bulk labels iid, y where a
+16-bit draw is below ``round(65536 n / N)``, and then flips |c - n| of
+the positions that carry its surplus label, a uniform choice among them.
+The map from bulk labels to output commutes with every permutation of the
+positions, so the output law is exchangeable; with exactly n y labels in
+every row it is uniform over all C(N, n) label sequences, whatever the
+threshold.  Rows consume both streams in order, so relabelling i does not
+depend on how the rows are cut into pieces.
 """
 
 import itertools
@@ -66,26 +79,69 @@ def replicate_blocks(seed, domain, reps, gen_x, gen_y, m, n, rows):
         yield xs, ys
 
 
-def relabellings(seed, domain, permutations, total, rows):
-    """Yield ``(start, idx)`` chunks of up to ``rows`` relabellings of ``total`` points.
+def _fix_counts(mask, n, rng):
+    """Flip uniformly chosen surplus labels until every row of ``mask`` has n True.
 
-    Relabelling i, whatever ``rows`` is, is the ``permutation(total)`` that
-    replicate i draws from its ``replicate_streams`` generator.  ``permuted``
-    makes the same Fisher-Yates draws row by row, in one call per cache-sized
-    piece of each run of rows that share a generator.
+    A row with c True flips |c - n| of the positions that carry the surplus
+    label, a uniform subset of them by Floyd's algorithm (Bentley and Floyd
+    1987): the step that picks the s-th of k ranks among S draws t from
+    [0, j], j = S - k + s, and takes j if t is taken already.  Every rank is
+    drawn up front, row by row, as exact bounded integers from ``rng``;
+    the steps then run across all rows at once, each row's ranks in its own
+    stretch of ``taken``.
     """
-    streams = replicate_streams(seed, domain, permutations)
-    piece = max(1, 2**16 // total)  # rows whose copy and shuffle stay in cache
-    for start in range(0, permutations, rows):
-        idx = np.empty((min(rows, permutations - start), total), dtype=np.int64)
-        row = 0
-        for rng, run in itertools.groupby(itertools.islice(streams, len(idx))):
-            stop = row + sum(1 for _ in run)
-            for part in np.split(idx[row:stop], range(piece, stop - row, piece)):
-                rng.permuted(np.broadcast_to(np.arange(total), part.shape), axis=1,
-                             out=part)
-            row = stop
-        yield start, idx
+    total = mask.shape[1]
+    counts = np.count_nonzero(mask, axis=1)
+    over = counts > n
+    flips = np.abs(counts - n)
+    ends = np.cumsum(flips)
+    if not ends[-1]:
+        return
+    size = np.where(over, counts, total - counts)  # surplus positions per row
+    step = np.arange(ends[-1]) - np.repeat(ends - flips, flips)
+    j = np.repeat(size - flips, flips) + step
+    t = rng.integers(0, j + 1)
+    base = np.repeat(np.cumsum(size) - size, flips)
+    by_step = np.argsort(step, kind="stable")
+    t = (t + base)[by_step]
+    j = (j + base)[by_step]
+    taken = np.zeros(size.sum(), dtype=bool)
+    done = 0
+    for live in np.bincount(step).tolist():
+        picked = t[done:done + live]
+        picked = np.where(taken[picked], j[done:done + live], picked)
+        taken[picked] = True
+        done += live
+    at = np.flatnonzero(mask == over[:, None])[taken]
+    flat = mask.ravel()
+    flat[at] = ~flat[at]
+
+
+def relabellings(seed, domain, permutations, m, n):
+    """Yield ``(start, mask)`` pieces of relabellings of ``m`` x and ``n`` y points.
+
+    ``mask`` is a boolean ``(rows, m + n)`` matrix; True marks a y label,
+    exactly n per row.  A piece never crosses a block and its row count
+    depends only on ``m + n``; relabelling i is the same whatever the
+    number of relabellings asked for.
+    """
+    total = m + n
+    words = -(-total // 4)  # 64-bit draws per row, four 16-bit labels each
+    threshold = round(65536 * n / total)
+    piece = max(1, 2**20 // total)  # about 1 MB of labels
+    for block in range(0, permutations, BLOCK):
+        index = block // BLOCK
+        bulk = replicate_rng(seed, domain, index)
+        fixes = np.random.default_rng(
+            np.random.SeedSequence((seed, domain, index), spawn_key=(0,)))
+        stop = min(block + BLOCK, permutations)
+        for start in range(block, stop, piece):
+            rows = min(piece, stop - start)
+            raw = bulk.bit_generator.random_raw(rows * words)
+            bits = raw.astype("<u8", copy=False).view("<u2")  # any byte order
+            mask = bits.reshape(rows, -1)[:, :total] < threshold
+            _fix_counts(mask, n, fixes)
+            yield start, mask
 
 
 def add_one_p_value(null, statistic):

@@ -4,13 +4,15 @@ Kolmogorov-Smirnov (exact sup distance between the empirical CDFs) and
 energy distance in its V-statistic form: full double sums divided by mn,
 m**2 and n**2, the zero diagonals included.  Both are calibrated by a
 permutation test.  One kernel per statistic serves the observed split and
-a whole chunk of relabellings: the pooled sample is sorted once, and
-cumulative counts over a ``(rows, N)`` matrix of x labels give both
-empirical CDFs, in O(rows * N).  KS reads their largest gap; the energy
-distance is ``2 * integral of (F_x - F_y)^2``, the V-statistic's exact
-equivalent, summed over the spacings of the sorted pool.  Its terms are
-all nonnegative, so no difference of large sums loses its relative
-accuracy, whatever the data's offset.
+a whole piece of relabellings: the pooled sample is sorted once, each
+relabelling's label mask (``_seeds.relabellings``, in pooled order) is
+gathered through the sort order into a ``(rows, N)`` matrix of x labels,
+and cumulative counts over it give both empirical CDFs, in O(rows * N).
+KS reads their largest gap; the energy distance is ``2 * integral of
+(F_x - F_y)^2``, the V-statistic's exact equivalent, summed over the
+spacings of the sorted pool.  Its terms are all nonnegative, so no
+difference of large sums loses its relative accuracy, whatever the data's
+offset.
 """
 
 from dataclasses import dataclass
@@ -53,17 +55,19 @@ class _SortedPool:
         order = np.argsort(pooled, kind="stable")
         self.m, self.n = x.size, y.size
         self.values = pooled[order]
-        self.rank = np.argsort(order)  # sorted position of each pooled point
+        self.order = order
         self.spacings = np.diff(self.values)
         # The last point of each run of equal values, where both CDFs are read.
         self.run_ends = np.flatnonzero(np.append(self.spacings != 0, True))
         self.observed = (order < self.m)[None]
 
-    def labels(self, idx):
-        """x labels in sorted order for relabellings ``idx`` (pooled indices)."""
-        is_x = np.zeros(idx.shape, dtype=bool)
-        np.put_along_axis(is_x, self.rank[idx[:, :self.m]], True, axis=1)
-        return is_x
+    def labels(self, is_y):
+        """x labels in sorted order for y-label masks ``is_y`` in pooled order.
+
+        ``take`` keeps the rows C-contiguous, where ``is_y[:, order]`` would
+        not, so each row sums in the same order however many rows share it.
+        """
+        return ~np.take(is_y, self.order, axis=1)
 
     def ks(self, is_x):
         """Sup distance between the two empirical CDFs of each label row."""
@@ -109,12 +113,11 @@ def baseline_permutation_test(name, x, y, permutations, seed):
     if permutations < 100:
         raise ValueError("permutations must be at least 100")
     pool, observed = _observed(name, x, y)
-    total = pool.values.size
     perm_stats = np.empty(permutations)
-    for start, idx in _seeds.relabellings(
-        seed, _seeds.BASELINE, permutations, total, max(1, 2_000_000 // total)
+    for start, is_y in _seeds.relabellings(
+        seed, _seeds.BASELINE, permutations, pool.m, pool.n
     ):
-        perm_stats[start:start + len(idx)] = getattr(pool, name)(pool.labels(idx))
+        perm_stats[start:start + len(is_y)] = getattr(pool, name)(pool.labels(is_y))
     return BaselineResult(
         name=name,
         statistic=observed,

@@ -336,8 +336,8 @@ def _family_tests(family, tests):
 
 
 def cmd_power(args):
-    names = args.families.split(",") if args.families else sorted(UNIVARIATE_FAMILIES)
-    families = [get_family(name.strip()) for name in names]
+    names = args.families or sorted(UNIVARIATE_FAMILIES)
+    families = [get_family(name) for name in names]
     # Every sampler, and the sizes at --multi-depth, are checked before any
     # simulation, so a refused parameter leaves no table and no partial work.
     plans = [
@@ -386,8 +386,22 @@ _fraction = _option_type(float, lambda v: 0 < v < 1, "a number in (0, 1)")
 _positive_int = _option_type(int, lambda v: v >= 1, "an integer >= 1")
 _replicates = _option_type(int, lambda v: v >= 100, "an integer >= 100")
 _POWER_TESTS = ("august", "ks", "energy", "august-multi")
-_test_names = _option_type(lambda text: text.split(","), set(_POWER_TESTS).issuperset,
-                           f"a comma list from {list(_POWER_TESTS)}")
+
+
+def _distinct(names):
+    return len(set(names)) == len(names)
+
+
+_test_names = _option_type(
+    lambda text: text.split(","),
+    lambda names: _distinct(names) and set(_POWER_TESTS).issuperset(names),
+    f"a comma list of distinct names from {list(_POWER_TESTS)}",
+)
+# Unknown family names are refused by ``get_family`` (a precondition error).
+_family_names = _option_type(
+    lambda text: [name.strip() for name in text.split(",")], _distinct,
+    "a comma list of distinct family names",
+)
 _finite_floats = _option_type(
     lambda text: [float(field) for field in text.split(",")],
     lambda v: np.isfinite(v).all(), "a comma list of finite numbers",
@@ -482,7 +496,7 @@ def build_parser():
     p = sub.add_parser("power", help="power study over named families")
     _add_common(p, depth_default=3)
     _add_options(p, "--report", "--alpha", "--cache-dir")
-    p.add_argument("--families", default=None,
+    p.add_argument("--families", type=_family_names, default=None,
                    help=f"comma list from {sorted(UNIVARIATE_FAMILIES)} "
                         f"and {sorted(BIVARIATE_FAMILIES)}")
     p.add_argument("--params", type=_finite_floats, default=None,

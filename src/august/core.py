@@ -13,9 +13,12 @@ times each count's cell probabilities.  ``august_many`` argsorts a batch
 of replicate pairs into label sequences (which sorted points are y points)
 and ``august_plus`` is a batch of one; each call evaluates the cell rows
 for the counts that occur (for a batch, for every count) in each chunk.
-``august_labels`` starts at the label sequences, all a null replicate
-needs, and a null table built through it evaluates the rows of every count
-once per table.  No rows are kept after a call.
+``august_labels`` starts at label masks (True marks a y point), all a null
+replicate needs, and a null table built through it evaluates the rows of
+every count once per table and writes every chunk's run lengths into one
+buffer per side; reusing the buffers, rather than allocating each chunk's
+afresh, keeps the allocator from handing the pages back and faulting them
+in again on every chunk.  No rows or buffers are kept after a call.
 A batch uses the cell rows of every count and a single pair only its
 occurring ones, so a row of a larger batch matches ``august_plus`` to the
 last bits (up to 6.1e-16 at 1800/1600, d = 3).  Oracle and kernel agree
@@ -199,21 +202,23 @@ def _summed_cells(tallies, size, cfg):
     return tallies @ cell_probabilities_for_counts(np.arange(size + 1), size, cfg)
 
 
-def _run_lengths(marks):
+def _run_lengths(marks, out=None):
     """Each row's run lengths of unmarked points around its marked points.
 
     ``marks`` is a boolean ``(rows, total)`` matrix with ``size`` marked
     points per row.  Column k of the returned float ``(rows, size + 1)``
-    array is how many unmarked points lie between a row's k-th and
-    (k+1)-th marked points: the interior from one subtract of neighbouring
-    flat positions, the first and last columns from the row's start and end.
-    With y points marked, the x points with exactly k y points at or below
-    them are that run, so the row is the x tallies of counts 0 .. size.
+    array, written to ``out`` if given, is how many unmarked points lie
+    between a row's k-th and (k+1)-th marked points: the interior from one
+    subtract of neighbouring flat positions, the first and last columns
+    from the row's start and end.  With y points marked, the x points with
+    exactly k y points at or below them are that run, so the row is the x
+    tallies of counts 0 .. size.
     """
     rows, total = marks.shape
     at = np.flatnonzero(marks).reshape(rows, -1)
     size = at.shape[1]
-    out = np.empty((rows, size + 1))
+    if out is None:
+        out = np.empty((rows, size + 1))
     np.subtract(at[:, 1:], at[:, :-1], out=out[:, 1:size])
     out[:, 1:size] -= 1.0
     starts = np.arange(0, rows * total, total)
@@ -271,17 +276,23 @@ def august_many(xs, ys, depth):
 def august_labels(chunks, m, n, depth):
     """Statistics of the boolean rows of every chunk in ``chunks``, in order.
 
-    Each row marks which of ``m + n`` sorted points are y points:
+    Each row is a label mask: True marks which of ``m + n`` sorted points
+    are y points, as ``_seeds.relabellings`` draws them.  It is
     ``august_many`` with no values to sort.  The cell rows of every count
-    are built once per side for all the chunks.
+    are built once per side for all the chunks, and the run lengths of
+    every chunk go into one buffer per side, grown for a longer chunk.
     """
     cfg = SubsampleConfig(depth)
     cells_x = cell_probabilities_for_counts(np.arange(n + 1), n, cfg)
     cells_y = cell_probabilities_for_counts(np.arange(m + 1), m, cfg)
+    runs_x, runs_y = np.empty((0, n + 1)), np.empty((0, m + 1))
     stats = []
     for is_y in chunks:
-        p_x = _run_lengths(is_y) @ cells_x / m
-        p_y = _run_lengths(~is_y) @ cells_y / n
+        rows = len(is_y)
+        if rows > len(runs_x):
+            runs_x, runs_y = np.empty((rows, n + 1)), np.empty((rows, m + 1))
+        p_x = _run_lengths(is_y, runs_x[:rows]) @ cells_x / m
+        p_y = _run_lengths(~is_y, runs_y[:rows]) @ cells_y / n
         stats.append(_statistics(p_x, p_y)[0])
     return np.concatenate(stats)
 

@@ -3,10 +3,11 @@
 The statistic is exactly distribution-free under the null, so one
 Monte-Carlo null table per ``(m, n, depth, sims, seed)`` serves every
 dataset with matching sizes.  A null replicate is a uniformly random
-label sequence, drawn by ``_seeds.relabellings`` and read by
-``core.august_labels``, which builds the cell rows of every count once per
-table.  Tables are sorted and can be persisted to a binary cache whose
-header records the key.
+label sequence: a label mask drawn by ``_seeds.relabellings`` and read as
+it is by ``core.august_labels``, which builds the cell rows of every count
+once per table.  Tables are sorted and can be persisted to a binary cache
+whose header records the key and the format version; a file of another
+version holds other draws for its key, so it is rebuilt, not read.
 
 ``estimate_sigma`` and ``power_simulation`` draw value pairs from
 ``_seeds.replicate_blocks``, under the same block-stream rule as the
@@ -61,7 +62,9 @@ __all__ = [
     "cached_null_table",
 ]
 
-_FORMAT_VERSION = 2
+# Version 3 tables hold label-mask draws; a file of another version holds
+# other draws for the same key, so ``cached_null_table`` rebuilds it.
+_FORMAT_VERSION = 3
 _MAGIC = b"AUGNULTB"
 # The header still carries a tag after the key, fixed to this value.  The
 # benchmark's own reader (``benchmark/reference.read_null_table``) parses
@@ -114,8 +117,9 @@ def _chunk_rows(total):
 def build_null_table(m, n, depth, sims, seed):
     """Simulate ``sims`` null statistics and return them sorted.
 
-    Replicate i is relabelling i of ``m + n`` points in the NULL_TABLE
-    domain, in chunks of about 1e6 points, so memory does not grow with N.
+    Replicate i is label mask i of ``m`` x and ``n`` y points in the
+    NULL_TABLE domain, read in pieces of about 1e6 points, so memory does
+    not grow with the number of replicates.
     The cell rows of every count are built once for the whole table, one
     set per side, and are not kept after the call.
     """
@@ -124,10 +128,8 @@ def build_null_table(m, n, depth, sims, seed):
         raise SampleTooSmall(f"need m, n >= {r} at depth {depth}")
     if sims < 100:
         raise ValueError("sims must be at least 100")
-    chunks = _seeds.relabellings(
-        seed, _seeds.NULL_TABLE, sims, m + n, _chunk_rows(m + n)
-    )
-    stats = august_labels((idx >= m for _, idx in chunks), m, n, depth)
+    chunks = _seeds.relabellings(seed, _seeds.NULL_TABLE, sims, m, n)
+    stats = august_labels((is_y for _, is_y in chunks), m, n, depth)
     return NullTable(np.sort(stats), m, n, depth, sims, seed)
 
 
@@ -414,6 +416,10 @@ def _write_atomic(path, blob):
             os.unlink(tmp)
 
 
+class _OtherVersion(IOFailure):
+    """A table file written in another format version."""
+
+
 def load_null_table(path):
     """Read a table written by ``save_null_table``."""
     try:
@@ -428,7 +434,7 @@ def load_null_table(path):
         "<IQQIQQI", blob[len(_MAGIC): fixed]
     )
     if version != _FORMAT_VERSION:
-        raise IOFailure(f"unsupported null-table format version {version}")
+        raise _OtherVersion(f"unsupported null-table format version {version}")
     stats = np.frombuffer(blob[fixed + tag_len:], dtype="<f8")
     if stats.size != sims:
         raise IOFailure(f"{path} is truncated: {stats.size} of {sims} statistics")
@@ -439,15 +445,21 @@ def cached_null_table(m, n, depth, sims, seed, cache_dir):
     """Load the table for a key if cached, else build and persist it.
 
     Returns ``(table, hit, path)`` where ``hit`` says whether the cache
-    served it and ``path`` is the key's file.  A cached file whose header
-    names another key raises ``IOFailure``.
+    served it and ``path`` is the key's file.  A cached file of another
+    format version holds other draws, so it is a miss, rebuilt and replaced
+    atomically.  A cached file whose header names another key raises
+    ``IOFailure``.
     """
     path = null_table_path(cache_dir, m, n, depth, sims, seed)
     if os.path.exists(path):
-        table = load_null_table(path)
-        if _key(table) != (m, n, depth, sims, seed):
-            raise IOFailure(f"{path} holds the table for key {_key(table)}")
-        return table, True, path
+        try:
+            table = load_null_table(path)
+        except _OtherVersion:
+            pass
+        else:
+            if _key(table) != (m, n, depth, sims, seed):
+                raise IOFailure(f"{path} holds the table for key {_key(table)}")
+            return table, True, path
     table = build_null_table(m, n, depth, sims, seed)
     save_null_table(table, cache_dir)
     return table, False, path

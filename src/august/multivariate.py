@@ -155,38 +155,44 @@ class MultiResult:
 def _batched_permutation_stats(pooled, m, depth, permutations, seed, ridge):
     """Statistics for seeded random relabelings, computed in batches.
 
-    Permutation ``i`` is ``_seeds.relabellings`` row i in the PERMUTATION
-    domain; relabeled continuous data is tie-free almost surely, so no tie
-    policy applies.  A chunk's fits are matrix products over the pooled
-    points, centred once (the distances are affine invariant), and pass
-    ``_fit``'s refusals.  Squared distances rank as ``transform``'s do and
-    the statistic reads ranks only: the same bytes unless two pooled
-    distances lie within rounding (about 1e-15 relative) of each other;
-    exact ties, as from duplicate points, stay exact.
+    Permutation ``i`` is ``_seeds.relabellings`` mask i in the PERMUTATION
+    domain: its False points form the x sample and its True points the y
+    sample, each in pooled order, which the rank statistic does not read.
+    Relabeled continuous data is tie-free almost surely, so no tie policy
+    applies.  A chunk's fits are matrix products over the pooled points,
+    centred once (the distances are affine invariant), with the x weights
+    the masks' False entries as floats, and pass ``_fit``'s refusals.
+    Squared distances rank as ``transform``'s do and the statistic reads
+    ranks only: the same bytes unless two pooled distances lie within
+    rounding (about 1e-15 relative) of each other; exact ties, as from
+    duplicate points, stay exact.
     """
     total, dim = pooled.shape
+    n = total - m
     z = pooled - pooled.mean(axis=0)
     outer = (z[:, :, None] * z[:, None, :]).reshape(total, dim * dim)
-    out = np.empty(permutations)
-    chunk = max(1, 2_000_000 // (total * dim))
-    for start, idx in _seeds.relabellings(
-        seed, _seeds.PERMUTATION, permutations, total, chunk
-    ):
-        flat = idx + np.arange(0, idx.size, total)[:, None]
-        in_x = np.zeros(idx.shape)
-        in_x.ravel()[flat[:, :m]] = 1.0
-        branch_stats = []
-        for weights, size in ((in_x, m), (1.0 - in_x, total - m)):
-            means = weights @ z / size
-            covs = (weights @ outer).reshape(-1, dim, dim)
-            covs -= size * means[:, :, None] * means[:, None, :]
-            factors = _inverse_factors(covs / (size - 1) + ridge * np.eye(dim))
-            whitened = (factors.reshape(-1, dim) @ z.T).reshape(-1, dim, total)
-            whitened -= factors @ means[:, :, None]
-            squared = np.square(whitened, out=whitened).sum(axis=1).ravel()[flat]
-            branch_stats.append(august_many(squared[:, :m], squared[:, m:], depth)[0])
-        out[start:start + len(idx)] = np.maximum(branch_stats[0], branch_stats[1])
-    return out
+    chunk = max(1, 2_000_000 // (total * dim))  # about 2e6 whitened values
+    stats = []
+    for _, piece in _seeds.relabellings(seed, _seeds.PERMUTATION, permutations, m, n):
+        for is_y in np.split(piece, range(chunk, len(piece), chunk)):
+            is_x = ~is_y
+            # Flat positions split a chunk far faster than a 2-D boolean index.
+            at_x, at_y = np.flatnonzero(is_x), np.flatnonzero(is_y)
+            in_x = is_x.astype(np.float64)
+            branch_stats = []
+            for weights, size in ((in_x, m), (1.0 - in_x, n)):
+                means = weights @ z / size
+                covs = (weights @ outer).reshape(-1, dim, dim)
+                covs -= size * means[:, :, None] * means[:, None, :]
+                factors = _inverse_factors(covs / (size - 1) + ridge * np.eye(dim))
+                whitened = (factors.reshape(-1, dim) @ z.T).reshape(-1, dim, total)
+                whitened -= factors @ means[:, :, None]
+                squared = np.square(whitened, out=whitened).sum(axis=1).ravel()
+                branch_stats.append(august_many(
+                    squared[at_x].reshape(-1, m), squared[at_y].reshape(-1, n), depth
+                )[0])
+            stats.append(np.maximum(branch_stats[0], branch_stats[1]))
+    return np.concatenate(stats)
 
 
 def _permutation_test(x, y, depth, permutations, seed, tie_policy, ridge):

@@ -165,9 +165,9 @@ def test_p_value_is_the_oracle_count_over_the_same_relabellings(name, m, n):
     pooled = np.concatenate([x, y])
     observed = oracle(x, y)
     perm_stats = [
-        oracle(pooled[order[:m]], pooled[order[m:]])
-        for _, idx in _seeds.relabellings(23, _seeds.BASELINE, 150, m + n, 1)
-        for order in idx
+        oracle(pooled[~is_y], pooled[is_y])
+        for _, masks in _seeds.relabellings(23, _seeds.BASELINE, 150, m, n)
+        for is_y in masks
     ]
     # Statistics equal to the observed one count as at or above it; at
     # m = n the oracle's energy of the swapped split may differ by rounding.
@@ -183,8 +183,8 @@ def test_repeated_and_swapped_splits_give_the_observed_float(name):
     x, y = rng.normal(size=50), rng.normal(size=50) * 1.7
     pool = baselines._SortedPool(x, y)
     identity = np.arange(100)
-    idx = np.stack([rng.permutation(100), identity, np.roll(identity, 50)])
-    stats = getattr(pool, name)(pool.labels(idx))
+    is_y = np.stack([rng.permutation(100) >= 50, identity >= 50, identity < 50])
+    stats = getattr(pool, name)(pool.labels(is_y))
     observed = (ks_statistic if name == "ks" else energy_statistic)(x, y)
     assert stats[1] == observed
     assert stats[2] == observed  # x and y swapped, m == n

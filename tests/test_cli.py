@@ -372,7 +372,9 @@ class TestCmdPower:
                      "--report", str(workdir / "p.csv")])
         assert code == EXIT_OK
         baseline = [s for s in streams if s[0] == august._seeds.BASELINE]
-        assert len(baseline) == 200  # one stream per nested test's relabellings
+        # One block stream per nested test's relabellings; the fix-up
+        # stream is its spawned child, made without ``replicate_rng``.
+        assert len(baseline) == 200
         assert [s for s in streams if s[0] != august._seeds.BASELINE] == [
             (august._seeds.POWER_TRIAL, 0), (august._seeds.NESTED_TEST, 0)]
 
@@ -509,6 +511,11 @@ class TestOptions:
         # Every test name is checked before the august grid runs.
         ["power", "--families", "null", "--tests", "august,foo", "--sims", "100",
          "--reps", "100", "--m", "20", "--n", "20", "--cache-dir", "cache"],
+        # A repeated name would run its rows twice.
+        ["power", "--families", "normal-location", "--tests", "ks,ks", "--params",
+         "0.5", "--m", "20", "--n", "20", "--reps", "100", "--permutations", "100"],
+        ["power", "--families", "null,null", "--m", "20", "--n", "20",
+         "--reps", "100", "--cache-dir", "cache"],
         # No option picks a sampling law for a null table.
         ["null-table", "--m", "24", "--n", "24", "--generator", "uniform",
          "--cache-dir", "cache"],

@@ -115,8 +115,8 @@ def recorded_tallies(monkeypatch, compute):
     seen = []
     run_lengths = core._run_lengths
 
-    def record(marks):
-        tallies = run_lengths(marks)
+    def record(marks, *out):
+        tallies = run_lengths(marks, *out)
         seen.append(tallies.copy())
         return tallies
 
@@ -192,6 +192,16 @@ class TestTallies:
         assert np.array_equal(tallies_y[0], [0] * m + [n])
         assert np.array_equal(tallies_x[1], [0] * n + [m])
         assert np.array_equal(tallies_y[1], [n] + [0] * m)
+
+    @pytest.mark.parametrize("m,n,depth", [(15, 15, 3), (37, 52, 1)])
+    def test_reused_run_buffers_give_each_chunks_own_bytes(self, m, n, depth):
+        # The table kernel writes every chunk's runs into one buffer per
+        # side, grown for a longer chunk: 2, then 5, then 3 rows.
+        (_, masks), = _seeds.relabellings(4, _seeds.NULL_TABLE, 10, m, n)
+        chunks = [masks[:2], masks[2:7], masks[7:]]
+        alone = [core.august_labels([chunk], m, n, depth) for chunk in chunks]
+        together = core.august_labels(chunks, m, n, depth)
+        assert together.tobytes() == np.concatenate(alone).tobytes()
 
 
 class TestLargeSamples:

@@ -70,7 +70,7 @@ class TestNullTable:
             NullTable(np.array([1.0, 0.5]), 20, 20, 1, 2, 0)
 
     @pytest.mark.parametrize("m, n, depth", [
-        (3, 4, 1), (6, 6, 1), (5, 8, 1), (7, 8, 2),
+        (3, 4, 1), (6, 6, 1), (5, 8, 1), (7, 8, 2), (3, 12, 1), (12, 3, 1),
     ])
     def test_exact_law(self, m, n, depth):
         # Every one of the C(m + n, n) label sequences is equally likely
@@ -99,21 +99,17 @@ class TestNullTable:
         assert np.abs(table_cdf - exact_cdf).max() <= bound
 
     @pytest.mark.parametrize("m, n, depth, sims, seed", [
-        (300, 320, 3, 5000, 9),  # 4 chunks of 1612 rows, one across a 2048 block
+        (300, 320, 3, 5000, 9),  # pieces of 1691, 357, 1691, 357 and 904 rows
         (20, 22, 1, 2500, 0),
     ])
     def test_table_bytes_equal_the_float_kernel(self, m, n, depth, sims, seed):
         # The label kernel and ``august_many`` on the integer sorted
-        # positions of each relabelling's x and y points, chunk by chunk,
-        # give the same bytes.
-        total = m + n
-        positions = np.arange(total, dtype=np.float64)
+        # positions of each mask's x and y points, piece by piece, give the
+        # same bytes.
+        positions = np.arange(m + n, dtype=np.float64)
         stats = []
-        for _, idx in _seeds.relabellings(
-            seed, _seeds.NULL_TABLE, sims, total, max(1, 1_000_000 // total)
-        ):
-            is_y = idx >= m
-            at = np.broadcast_to(positions, idx.shape)
+        for _, is_y in _seeds.relabellings(seed, _seeds.NULL_TABLE, sims, m, n):
+            at = np.broadcast_to(positions, is_y.shape)
             stats.append(august_many(
                 at[~is_y].reshape(-1, m), at[is_y].reshape(-1, n), depth
             )[0])
@@ -130,7 +126,7 @@ class TestNullTable:
             return rows(counts, size, cfg)
 
         monkeypatch.setattr(core, "cell_probabilities_for_counts", count)
-        build_null_table(300, 320, 1, 3300, seed=4)  # 3 chunks of 1612 rows
+        build_null_table(300, 320, 1, 3300, seed=4)  # pieces of 1691, 357, 1252 rows
         assert sorted(calls) == [(301, 300), (321, 320)]
 
 
@@ -255,15 +251,33 @@ class TestCacheFormat:
         reference = importlib.import_module("reference")
         table = build_null_table(20, 22, 1, 150, seed=9)
         key, stats = reference.read_null_table(save_null_table(table, str(tmp_path)))
-        assert key == {"version": 2, "m": 20, "n": 22, "depth": 1, "sims": 150,
+        assert key == {"version": 3, "m": 20, "n": 22, "depth": 1, "sims": 150,
                        "seed": 9, "generator_tag": "uniform"}
         assert np.array_equal(stats, table.stats)
 
     def test_version_one_is_refused(self, tmp_path):
         path = save_null_table(build_null_table(20, 20, 1, 100, seed=1), str(tmp_path))
-        open(path, "wb").write(with_version(path, 1))
-        with pytest.raises(IOFailure):
+        blob = with_version(path, 1)  # read before ``open`` truncates the file
+        open(path, "wb").write(blob)
+        with pytest.raises(IOFailure, match="format version 1"):
             load_null_table(path)
+
+    def test_version_two_file_is_a_miss_and_is_replaced(self, tmp_path):
+        # A version-2 file holds Fisher-Yates draws under the same key and
+        # path: it is rebuilt, not read, and the p-value is the fresh one's.
+        fresh = build_null_table(20, 20, 1, 130, seed=7)
+        stale = NullTable(np.zeros(130), 20, 20, 1, 130, 7)
+        path = save_null_table(stale, str(tmp_path))
+        blob = with_version(path, 2)
+        open(path, "wb").write(blob)
+        table, hit, got = cached_null_table(20, 20, 1, 130, 7, str(tmp_path))
+        assert hit is False and got == path
+        assert os.listdir(tmp_path) == [os.path.basename(path)]
+        assert struct.unpack("<I", open(path, "rb").read()[8:12]) == (3,)
+        assert np.array_equal(load_null_table(path).stats, fresh.stats)
+        statistic = float(np.median(fresh.stats))
+        assert p_value(statistic, table) == p_value(statistic, fresh)
+        assert p_value(statistic, table) != p_value(statistic, stale)
 
     def test_version_one_file_name_is_not_read(self, tmp_path):
         # Version-1 files carried the generator tag in their name.

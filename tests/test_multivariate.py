@@ -128,11 +128,10 @@ class TestPermutationPValue:
         y = rng.standard_normal((40, 2))
         pooled = np.vstack([x, y])
         batched = mv._batched_permutation_stats(pooled, 35, 2, 10, 77, 0.0)
-        # Relabellings 0..9 are the first ten permutations of block 0's stream.
-        stream = _seeds.replicate_rng(77, _seeds.PERMUTATION, 0)
-        for i in range(10):
-            idx = stream.permutation(pooled.shape[0])
-            direct = multivariate_statistic(pooled[idx[:35]], pooled[idx[35:]], 2)
+        # Relabelling i is mask i of the PERMUTATION domain: False is x.
+        (_, masks), = _seeds.relabellings(77, _seeds.PERMUTATION, 10, 35, 40)
+        for i, is_y in enumerate(masks):
+            direct = multivariate_statistic(pooled[~is_y], pooled[is_y], 2)
             assert abs(batched[i] - direct) <= 1e-12
 
     def test_loop_distances_rank_as_the_observed_reduction(self, monkeypatch):
@@ -152,10 +151,9 @@ class TestPermutationPValue:
         monkeypatch.setattr(mv, "august_many", recording_august_many)
         mv._batched_permutation_stats(pooled, 35, 2, 20, 5, 0.0)
         (x_fit_x, x_fit_y), (y_fit_x, y_fit_y) = seen
-        stream = _seeds.replicate_rng(5, _seeds.PERMUTATION, 0)
-        for i in range(20):
-            idx = stream.permutation(75)
-            x, y = pooled[idx[:35]], pooled[idx[35:]]
+        (_, masks), = _seeds.relabellings(5, _seeds.PERMUTATION, 20, 35, 40)
+        for i, is_y in enumerate(masks):
+            x, y = pooled[~is_y], pooled[is_y]
             for model, tx, ty in ((fit_mahalanobis(x), x_fit_x, x_fit_y),
                                   (fit_mahalanobis(y), y_fit_x, y_fit_y)):
                 loop = np.concatenate([tx[i], ty[i]])
@@ -164,17 +162,26 @@ class TestPermutationPValue:
                 assert np.allclose(np.sqrt(loop), direct, rtol=1e-12, atol=0)
 
     def test_singular_relabelling_is_refused_as_fit_refuses(self):
-        # Both observed fits succeed; some relabelling puts the three
-        # collinear points alone in the x sample.
+        # Both observed fits succeed; a relabelling that puts the three
+        # collinear points (pooled rows 3 to 5) alone in the x sample is
+        # refused, and a seed whose relabellings never do so is not.
         x = np.random.default_rng(4).normal(size=(3, 2))
         y = np.vstack([[(k, 2 * k + 1) for k in range(3)],
                        np.random.default_rng(5).normal(size=(2, 2))])
         assert np.isfinite(multivariate_statistic(x, y, 1))
+        collinear_y = np.array([True] * 3 + [False] * 3 + [True] * 2)
+
+        def isolates_the_line(seed):
+            (_, masks), = _seeds.relabellings(seed, _seeds.PERMUTATION, 100, 3, 5)
+            return bool((masks == collinear_y).all(axis=1).any())
+
+        isolating = [isolates_the_line(seed) for seed in range(40)]
         with pytest.raises(SingularCovariance) as refused:
-            permutation_p_value(x, y, 1, 100, 2)
+            permutation_p_value(x, y, 1, 100, isolating.index(True))
         assert str(refused.value) == (
             "sample covariance is singular; reduce dimension or pass ridge > 0"
         )
+        assert 0 < permutation_p_value(x, y, 1, 100, isolating.index(False)) <= 1
         with pytest.raises(ValueError):
             permutation_p_value(x, y, 1, 100, 2, ridge=-1)
 
