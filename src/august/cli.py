@@ -385,6 +385,9 @@ def _option_type(convert, valid, wanted):
 _fraction = _option_type(float, lambda v: 0 < v < 1, "a number in (0, 1)")
 _positive_int = _option_type(int, lambda v: v >= 1, "an integer >= 1")
 _replicates = _option_type(int, lambda v: v >= 100, "an integer >= 100")
+# The null-table cache header holds the seed as an unsigned 64-bit integer.
+_seed = _option_type(int, lambda v: 0 <= v < 2**64, "an integer in [0, 2**64)")
+_ridge = _option_type(float, lambda v: 0 <= v < np.inf, "a finite number >= 0")
 _POWER_TESTS = ("august", "ks", "energy", "august-multi")
 
 
@@ -412,7 +415,7 @@ def _add_common(parser, depth_default):
     """The options every subcommand reads: depth and seed."""
     parser.add_argument("--depth", type=int, default=depth_default,
                         help="binary resolution d")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
 
 
 # Options that only some subcommands read; each subcommand names its own.
@@ -465,7 +468,7 @@ def build_parser():
     _add_options(p, "data", "--report", "--alpha", "--ties", "--bonferroni")
     p.add_argument("--permutations", type=_replicates, default=999,
                    help="at least 100")
-    p.add_argument("--ridge", type=float, default=0.0)
+    p.add_argument("--ridge", type=_ridge, default=0.0, help="a finite number >= 0")
     p.set_defaults(func=cmd_test_multi)
 
     p = sub.add_parser("interpret", help="emit plot data explaining a rejection")

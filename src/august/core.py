@@ -5,24 +5,21 @@ its augmented CDF against the other sample by direct counting, and the
 statistic is ``S = -(s_x . s_y)`` where ``s_x`` and ``s_y`` are the
 Hadamard symmetry statistics of the averaged cell probabilities.
 
-The fast kernel gets the identical result in ``O(N log N)`` by sorting:
-the points of one sample with k points of the other at or below them are
-the run between the other sample's k-th and (k+1)-th points in sorted
-order, so each count's tally is a run length, and averaging is the tally
-times each count's cell probabilities.  ``august_many`` argsorts a batch
-of replicate pairs into label sequences (which sorted points are y points)
-and ``august_plus`` is a batch of one; each call evaluates the cell rows
-for the counts that occur (for a batch, for every count) in each chunk.
-``august_labels`` starts at label masks (True marks a y point), all a null
-replicate needs, and a null table built through it evaluates the rows of
-every count once per table and writes every chunk's run lengths into one
-buffer per side; reusing the buffers, rather than allocating each chunk's
-afresh, keeps the allocator from handing the pages back and faulting them
-in again on every chunk.  No rows or buffers are kept after a call.
-A batch uses the cell rows of every count and a single pair only its
-occurring ones, so a row of a larger batch matches ``august_plus`` to the
-last bits (up to 6.1e-16 at 1800/1600, d = 3).  Oracle and kernel agree
-to 1e-12.
+The fast kernel gets the identical result in ``O(N log N)`` from the label
+sequence of the merged sorted sample (which sorted points are y points):
+the x points with k y points at or below them are the run between the
+k-th and (k+1)-th y points, so each count's tally is a run length, and
+averaging is the tallies times each count's cell probabilities.  One loop,
+``august_labels``, does this for chunks of label masks (True marks a y
+point): a null table hands it the masks ``_seeds.relabellings`` draws, and
+``august_many`` argsorts each chunk of value pairs into masks.  The loop
+builds the cell rows of every count once per call and writes every chunk's
+run lengths into one buffer per side, which keeps the allocator from
+faulting fresh pages in on every chunk; nothing is kept after a call.
+A single pair (``august_plus``, or a batch of one) multiplies the rows of
+its occurring counts only, so a row of a larger batch matches
+``august_plus`` to the last bits (up to 6.1e-16 at 1800/1600, d = 3).
+Oracle and kernel agree to 1e-12.
 
 Both samples' values enter only through ranks, so the statistic is
 invariant under joint strictly increasing transforms and is exactly
@@ -189,19 +186,6 @@ def august(x, y, depth, tie_policy=None):
     return _assemble(p_x[None], p_y[None], depth, m, n, applied)
 
 
-def _summed_cells(tallies, size, cfg):
-    """Tallies of counts against a sample of ``size``, times the cell rows.
-
-    A single pair gets rows only for the counts it has.  In a batch nearly
-    every count occurs in some row, so the tallies are used as they are.
-    """
-    if len(tallies) == 1:
-        occurring = np.flatnonzero(tallies[0])
-        rows = cell_probabilities_for_counts(occurring, size, cfg)
-        return tallies[:, occurring] @ rows
-    return tallies @ cell_probabilities_for_counts(np.arange(size + 1), size, cfg)
-
-
 def _run_lengths(marks, out=None):
     """Each row's run lengths of unmarked points around its marked points.
 
@@ -227,74 +211,76 @@ def _run_lengths(marks, out=None):
     return out
 
 
-def _cell_means(xs, ys, depth):
-    """Averaged cell probabilities ``(p_x, p_y)`` of each replicate row.
+def _pair_cells(x, y, depth):
+    """Averaged cell probabilities ``(p_x, p_y)``, one row each, of one pair.
 
-    One argsort of each merged row gives its label sequence.  Rows go
-    through in chunks of about 4e6 points.
+    A single pair has few distinct counts, so it builds the cell rows of
+    the counts that occur only.
     """
-    reps, m = xs.shape
-    n = ys.shape[1]
+    m, n = x.size, y.size
+    is_y = np.argsort(np.concatenate([x, y]))[None] >= m
     cfg = SubsampleConfig(depth)
-    p_x = np.empty((reps, cfg.cells))
-    p_y = np.empty((reps, cfg.cells))
-    chunk = max(1, 4_000_000 // (m + n))
-    for start in range(0, reps, chunk):
-        stop = min(start + chunk, reps)
-        merged = np.concatenate([xs[start:stop], ys[start:stop]], axis=1)
-        is_y = np.argsort(merged, axis=1) >= m
-        p_x[start:stop] = _summed_cells(_run_lengths(is_y), n, cfg) / m
-        p_y[start:stop] = _summed_cells(_run_lengths(~is_y), m, cfg) / n
-    return p_x, p_y
+    cells = []
+    for marks, size, other in ((is_y, n, m), (~is_y, m, n)):
+        tallies = _run_lengths(marks)
+        occurring = np.flatnonzero(tallies[0])
+        rows = cell_probabilities_for_counts(occurring, size, cfg)
+        cells.append(tallies[:, occurring] @ rows / other)
+    return cells
 
 
 def august_plus(x, y, depth, tie_policy=None):
-    """``august`` in O(N log N): ``august_many``'s kernel on a batch of one."""
+    """``august`` in O(N log N): the run-length kernel on one pair."""
     x, y, applied = _prepare(x, y, depth, tie_policy)
-    p_x, p_y = _cell_means(x[None], y[None], depth)
-    return _assemble(p_x, p_y, depth, x.size, y.size, applied)
+    return _assemble(*_pair_cells(x, y, depth), depth, x.size, y.size, applied)
 
 
 def august_many(xs, ys, depth):
     """Batched statistics for Monte-Carlo work.
 
-    ``xs`` and ``ys`` are (B, m) and (B, n) matrices; row b is one
+    ``xs`` and ``ys`` are (B, m) and (B, n) matrices, B >= 1; row b is one
     replicate pair.  Returns ``(statistics, s_x, s_y)`` with shapes (B,),
     (B, 2**depth - 1), (B, 2**depth - 1).  Rows are assumed tie-free
     (continuous draws); no tie policy is applied.  A batch of one is
-    ``august_plus`` exactly; in a larger batch, row b agrees with
-    ``august_plus`` on that pair to within about 1e-15 in every field.
+    ``august_plus`` exactly.  A larger one is argsorted, in chunks of about
+    4e6 points, into the label masks that ``august_labels`` reads; its row
+    b agrees with ``august_plus`` to within about 1e-15 in every field.
     """
-    xs = np.atleast_2d(np.asarray(xs, dtype=np.float64))
-    ys = np.atleast_2d(np.asarray(ys, dtype=np.float64))
-    if xs.shape[0] != ys.shape[0]:
-        raise ValueError("xs and ys must have the same number of replicates")
+    xs = np.asarray(xs, dtype=np.float64)
+    ys = np.asarray(ys, dtype=np.float64)
+    if not (xs.ndim == ys.ndim == 2 and 0 < len(xs) == len(ys)):
+        raise ValueError("xs and ys must be 2-D stacks of one or more rows, "
+                         f"as many in each; got shapes {xs.shape} and {ys.shape}")
     _check_samples(xs, ys, depth)
-    return _statistics(*_cell_means(xs, ys, depth))
+    if len(xs) == 1:
+        return _statistics(*_pair_cells(xs[0], ys[0], depth))
+    (reps, m), n = xs.shape, ys.shape[1]
+    chunk = max(1, 4_000_000 // (m + n))
+    masks = (np.argsort(np.hstack([xs[i:i + chunk], ys[i:i + chunk]]), axis=1) >= m
+             for i in range(0, reps, chunk))
+    return tuple(map(np.concatenate, zip(*august_labels(masks, m, n, depth))))
 
 
 def august_labels(chunks, m, n, depth):
-    """Statistics of the boolean rows of every chunk in ``chunks``, in order.
+    """Yield ``(statistics, s_x, s_y)`` of each chunk of boolean rows, in order.
 
     Each row is a label mask: True marks which of ``m + n`` sorted points
-    are y points, as ``_seeds.relabellings`` draws them.  It is
-    ``august_many`` with no values to sort.  The cell rows of every count
-    are built once per side for all the chunks, and the run lengths of
-    every chunk go into one buffer per side, grown for a longer chunk.
+    are y points, as ``_seeds.relabellings`` draws them and ``august_many``
+    argsorts them.  The cell rows of every count are built once per side
+    for all the chunks, and the run lengths of every chunk go into one
+    buffer per side, grown for a longer chunk.
     """
     cfg = SubsampleConfig(depth)
     cells_x = cell_probabilities_for_counts(np.arange(n + 1), n, cfg)
     cells_y = cell_probabilities_for_counts(np.arange(m + 1), m, cfg)
     runs_x, runs_y = np.empty((0, n + 1)), np.empty((0, m + 1))
-    stats = []
     for is_y in chunks:
         rows = len(is_y)
         if rows > len(runs_x):
             runs_x, runs_y = np.empty((rows, n + 1)), np.empty((rows, m + 1))
         p_x = _run_lengths(is_y, runs_x[:rows]) @ cells_x / m
         p_y = _run_lengths(~is_y, runs_y[:rows]) @ cells_y / n
-        stats.append(_statistics(p_x, p_y)[0])
-    return np.concatenate(stats)
+        yield _statistics(p_x, p_y)
 
 
 def cos_angle(result):

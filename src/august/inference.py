@@ -121,15 +121,19 @@ def build_null_table(m, n, depth, sims, seed):
     NULL_TABLE domain, read in pieces of about 1e6 points, so memory does
     not grow with the number of replicates.
     The cell rows of every count are built once for the whole table, one
-    set per side, and are not kept after the call.
+    set per side, and only the statistics are kept.  A seed outside
+    [0, 2**64), which the cache header cannot hold, is refused first.
     """
     r = minimum_sample_size(depth)
     if m < r or n < r:
         raise SampleTooSmall(f"need m, n >= {r} at depth {depth}")
     if sims < 100:
         raise ValueError("sims must be at least 100")
+    if not 0 <= seed < 2**64:  # the cache header holds the seed in 8 bytes
+        raise ValueError("seed must be an integer in [0, 2**64)")
     chunks = _seeds.relabellings(seed, _seeds.NULL_TABLE, sims, m, n)
-    stats = august_labels((is_y for _, is_y in chunks), m, n, depth)
+    labels = august_labels((is_y for _, is_y in chunks), m, n, depth)
+    stats = np.concatenate([statistics for statistics, _, _ in labels])
     return NullTable(np.sort(stats), m, n, depth, sims, seed)
 
 

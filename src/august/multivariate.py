@@ -59,8 +59,8 @@ def _as_matrix(sample):
 
 def _fit(stack, ridge):
     """Means, ridged covariances and inverse Cholesky factors of (B, size, dim)."""
-    if ridge < 0:
-        raise ValueError("ridge must be nonnegative")
+    if not 0 <= ridge < np.inf:  # NaN fails every comparison
+        raise ValueError("ridge must be a finite nonnegative number")
     size, dim = stack.shape[1:]
     if size <= dim:
         raise SingularCovariance(

@@ -516,6 +516,13 @@ class TestOptions:
          "0.5", "--m", "20", "--n", "20", "--reps", "100", "--permutations", "100"],
         ["power", "--families", "null,null", "--m", "20", "--n", "20",
          "--reps", "100", "--cache-dir", "cache"],
+        # The cache header holds a seed in [0, 2**64), and every subcommand
+        # parses it so.
+        ["null-table", "--m", "20", "--n", "20", "--depth", "1", "--sims", "100",
+         "--seed", "18446744073709551616", "--cache-dir", "cache"],
+        ["test", "d.csv", "--seed", "-1"],
+        ["test-multi", "d.csv", "--ridge", "nan"],
+        ["test-multi", "d.csv", "--ridge", "inf"],
         # No option picks a sampling law for a null table.
         ["null-table", "--m", "24", "--n", "24", "--generator", "uniform",
          "--cache-dir", "cache"],

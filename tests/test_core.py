@@ -1,3 +1,4 @@
+import re
 import time
 import tracemalloc
 
@@ -110,7 +111,8 @@ class TestAlgorithmEquivalence:
 def recorded_tallies(monkeypatch, compute):
     """The x and y tallies of every ``_run_lengths`` call in ``compute()``.
 
-    They are the arrays both kernels multiply by the cell rows, x then y.
+    They are the arrays that ``august_labels``, and the single-pair path of
+    a batch of one, multiply by the cell rows, x then y.
     """
     seen = []
     run_lengths = core._run_lengths
@@ -160,7 +162,7 @@ class TestTallies:
         ys = np.array([grid[r:], grid[:r], grid[1::2], grid[0::2],
                        *rng.random((3, r))])
         tallies_x, tallies_y = recorded_tallies(
-            monkeypatch, lambda: core._cell_means(xs, ys, depth))
+            monkeypatch, lambda: august_many(xs, ys, depth))
         assert np.array_equal(tallies_x, direct_tallies(ys, xs))
         assert np.array_equal(tallies_y, direct_tallies(xs, ys))
         assert np.array_equal(tallies_x[0], [r] + [0] * r)
@@ -173,7 +175,7 @@ class TestTallies:
         rng = np.random.default_rng(m * n + reps)
         xs, ys = rng.normal(size=(reps, m)), rng.normal(0.4, 1.3, size=(reps, n))
         tallies_x, tallies_y = recorded_tallies(
-            monkeypatch, lambda: core._cell_means(xs, ys, 1))
+            monkeypatch, lambda: august_many(xs, ys, 1))
         assert np.array_equal(tallies_x, direct_tallies(ys, xs))
         assert np.array_equal(tallies_y, direct_tallies(xs, ys))
 
@@ -183,7 +185,7 @@ class TestTallies:
         # start and end, apart from the interior.
         is_y = label_rows(m, n, np.random.default_rng(m + n))
         tallies_x, tallies_y = recorded_tallies(
-            monkeypatch, lambda: core.august_labels([is_y], m, n, depth))
+            monkeypatch, lambda: list(core.august_labels([is_y], m, n, depth)))
         at = np.broadcast_to(np.arange(m + n), is_y.shape)
         xs, ys = at[~is_y].reshape(-1, m), at[is_y].reshape(-1, n)
         assert np.array_equal(tallies_x, direct_tallies(ys, xs))
@@ -199,9 +201,12 @@ class TestTallies:
         # side, grown for a longer chunk: 2, then 5, then 3 rows.
         (_, masks), = _seeds.relabellings(4, _seeds.NULL_TABLE, 10, m, n)
         chunks = [masks[:2], masks[2:7], masks[7:]]
-        alone = [core.august_labels([chunk], m, n, depth) for chunk in chunks]
-        together = core.august_labels(chunks, m, n, depth)
-        assert together.tobytes() == np.concatenate(alone).tobytes()
+
+        def joined(outputs):  # each of the three fields over all chunks
+            return [np.concatenate(field).tobytes() for field in zip(*outputs)]
+
+        alone = [next(core.august_labels([chunk], m, n, depth)) for chunk in chunks]
+        assert joined(core.august_labels(chunks, m, n, depth)) == joined(alone)
 
 
 class TestLargeSamples:
@@ -316,8 +321,12 @@ class TestPreconditions:
             compute(samples["x"], samples["y"], 2)
 
     def test_batch_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            august_many(np.zeros((3, 20)), np.zeros((4, 20)), 1)
+        # Unequal row counts, a 3-D or 1-D stack, and an empty batch are
+        # refused before any sample check, with both shapes in the message.
+        for xs, ys in (((3, 20), (4, 20)), ((2, 20), (2, 2, 20)),
+                       ((20,), (20,)), ((2, 20), (20,)), ((0, 20), (0, 20))):
+            with pytest.raises(ValueError, match=re.escape(f"{xs} and {ys}")):
+                august_many(np.zeros(xs), np.zeros(ys), 1)
 
 
 class TestTiePolicy:

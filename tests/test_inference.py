@@ -279,6 +279,15 @@ class TestCacheFormat:
         assert p_value(statistic, table) == p_value(statistic, fresh)
         assert p_value(statistic, table) != p_value(statistic, stale)
 
+    def test_seed_the_header_cannot_hold_is_refused_first(self, tmp_path, monkeypatch):
+        # The header packs the seed in eight unsigned bytes; a seed outside
+        # them is refused before any label is drawn or any file written.
+        monkeypatch.setattr(_seeds, "relabellings", None)
+        for seed in (2**64, -1):
+            with pytest.raises(ValueError, match=r"\[0, 2\*\*64\)"):
+                cached_null_table(20, 20, 1, 100, seed, str(tmp_path))
+        assert os.listdir(tmp_path) == []
+
     def test_version_one_file_name_is_not_read(self, tmp_path):
         # Version-1 files carried the generator tag in their name.
         path = save_null_table(build_null_table(20, 20, 1, 130, seed=7), str(tmp_path))

@@ -182,8 +182,9 @@ class TestPermutationPValue:
             "sample covariance is singular; reduce dimension or pass ridge > 0"
         )
         assert 0 < permutation_p_value(x, y, 1, 100, isolating.index(False)) <= 1
-        with pytest.raises(ValueError):
-            permutation_p_value(x, y, 1, 100, 2, ridge=-1)
+        for ridge in (-1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="ridge must be a finite nonnegative"):
+                permutation_p_value(x, y, 1, 100, 2, ridge=ridge)
 
     def test_null_calibration_smoke(self):
         # Level at alpha = 0.05 over modest trials; the full-scale version
