@@ -9,8 +9,9 @@ symmetry vectors concentrate on a computable mean vector mu, which lets
 you size a study before collecting data.
 """
 
+from statistics import NormalDist
+
 import numpy as np
-from scipy import stats as scipy_stats
 
 from august import (
     AlternativeSpec,
@@ -39,9 +40,9 @@ print()
 
 # Population-level symmetry statistics for a normal location shift:
 spec = AlternativeSpec(
-    cdf_x=scipy_stats.norm.cdf,
-    cdf_y=lambda t: scipy_stats.norm.cdf(t, loc=0.3),
-    quantile_x=scipy_stats.norm.ppf,
+    cdf_x=NormalDist().cdf,
+    cdf_y=NormalDist(mu=0.3).cdf,
+    quantile_x=NormalDist().inv_cdf,
     label="N(0,1) vs N(0.3,1)",
 )
 mu = alternative_mu(spec, depth)

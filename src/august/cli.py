@@ -71,7 +71,7 @@ def _read_rows(path, labelled, width):
     each row's label, or is empty.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = [line for line in fh if line.strip() != ""]
     except OSError as exc:
         raise IOFailure(f"could not read {path}: {exc}") from exc

@@ -18,6 +18,7 @@ one block; only the returned rows grow with the number of counts.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -64,6 +65,14 @@ class SubsampleConfig:
     counts_per_cell = 2
 
 
+@lru_cache(maxsize=None)
+def binomial_row(r):
+    """Read-only floats ``C(r, j)``, j = 0 .. r: depths 1 .. 9 cache 18 rows."""
+    row = np.array([math.comb(r, j) for j in range(r + 1)], dtype=np.float64)
+    row.flags.writeable = False
+    return row
+
+
 def cell_probabilities_for_counts(counts, n, cfg):
     """Augmented-CDF rows for an array of ``#(reference <= x)`` counts.
 
@@ -96,7 +105,7 @@ def cell_probabilities_for_counts(counts, n, cfg):
     r, per_cell = cfg.r, cfg.counts_per_cell
     i = np.arange(r, dtype=np.float64)[:, None]
     below_denom, above_denom = n - i, (n - r + 1) + i
-    weights = np.array([[math.comb(r, j)] for j in range(r + 1)], dtype=np.float64)
+    weights = binomial_row(r)[:, None]
     out = np.empty((counts.size, cfg.cells))
     width = max(1, min(_BLOCK, counts.size))
     # Column c of a block is one count K: below[j] = prod_{i<j} (K - i) / (n - i)

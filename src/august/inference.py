@@ -43,7 +43,7 @@ from . import _seeds
 from .core import august_labels, august_many, minimum_sample_size
 from .errors import IOFailure, QuadratureFailure, SampleTooSmall
 from .hadamard import sylvester
-from .hypergeom import SubsampleConfig
+from .hypergeom import SubsampleConfig, binomial_row
 
 __all__ = [
     "NullTable",
@@ -271,32 +271,22 @@ def asymptotic_p_value(statistic, m, n, depth):
     return min(1.0, max(0.0, _mixture_tail(_limit(depth)[1], x)))
 
 
-def _cell_edges(depth):
-    """Subsample size r and the first success count of each cell, then r + 1."""
-    cfg = SubsampleConfig(depth)
-    return cfg.r, np.arange(0, cfg.r + 2, cfg.counts_per_cell)
+def _binomial_pmf(r, w):
+    """Binomial(r, w) pmf, counts 0 .. r by w; row r is ``w**r``: no NaN at w = 1."""
+    j = np.arange(r + 1, dtype=np.float64)[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pmf = binomial_row(r)[:, None] * w**j * np.exp((r - j) * np.log1p(-w))
+    pmf[r] = w**r
+    return pmf
 
 
-def _cell_values(depth, w):
-    """Theoretical cell probabilities b_k(w) for a vector of CDF values w.
-
-    Cell k holds the Binomial(r, w) counts from edge k up to edge k + 1.
+def _binomial_cells(depth, w, u):
+    """Cells ``b_k(w)``, the Binomial(r, w) mass at 2k and 2k + 1, and their
+    slopes ``b_k'(u) = r (P(2k - 1) - P(2k + 1))`` under Binomial(r - 1, u).
     """
-    from scipy.stats import binom
-
-    r, edges = _cell_edges(depth)
-    return -np.diff(binom.sf(edges[:, None] - 1, r, w), axis=0)
-
-
-def _cell_derivatives(depth, u):
-    """d/du of the theoretical cell probabilities at interior points u.
-
-    Uses d/du P(Bin(r, u) >= a) = r * P(Bin(r - 1, u) = a - 1).
-    """
-    from scipy.stats import binom
-
-    r, edges = _cell_edges(depth)
-    return -r * np.diff(binom.pmf(edges[:, None] - 1, r - 1, u), axis=0)
+    r = SubsampleConfig(depth).r
+    pmf, odd = _binomial_pmf(r, w), _binomial_pmf(r - 1, u)[1::2]
+    return pmf[0::2] + pmf[1::2], -r * np.diff(odd, axis=0, prepend=0.0, append=0.0)
 
 
 def _check_handles(spec):
@@ -325,25 +315,18 @@ def alternative_mu(spec, depth, quadrature_nodes=128):
         raise ValueError("quadrature_nodes must be at least 64")
     _check_handles(spec)
     reduced = sylvester(depth)[1:, :].astype(np.float64)
-    last_cell = (1 << depth) - 1
-
-    from scipy.special import roots_legendre
 
     def evaluate(nodes):
-        t, weights = roots_legendre(nodes)
-        u = (t + 1.0) / 2.0
-        weights = weights / 2.0
-        w = np.clip(
-            np.asarray([spec.cdf_y(spec.quantile_x(v)) for v in u]), 0.0, 1.0
-        )
-        # First block: integral of b_k(w(u)) du.
-        first = _cell_values(depth, w) @ weights
-        # Second block: b_k(1) - integral of b_k'(u) w(u) du, the
-        # integration-by-parts form of the swapped-roles integral.
-        boundary = np.zeros(1 << depth)
-        boundary[last_cell] = 1.0
-        second = boundary - _cell_derivatives(depth, u) @ (weights * w)
-        return np.concatenate([reduced @ first, reduced @ second])
+        t, weights = np.polynomial.legendre.leggauss(nodes)
+        u, weights = (t + 1.0) / 2.0, weights / 2.0
+        w = np.clip([spec.cdf_y(spec.quantile_x(v)) for v in u], 0.0, 1.0)
+        cells, slopes = _binomial_cells(depth, w, u)
+        # First block: integral of b_k(w(u)) du.  Second block: b_k(1) -
+        # integral of b_k'(u) w(u) du, the integration-by-parts form of the
+        # swapped-roles integral; b_k(1) is one in the last cell, zero elsewhere.
+        second = -(slopes @ (weights * w))
+        second[-1] += 1.0
+        return np.concatenate([reduced @ (cells @ weights), reduced @ second])
 
     coarse = evaluate(quadrature_nodes)
     fine = evaluate(2 * quadrature_nodes)
@@ -439,10 +422,12 @@ def load_null_table(path):
     )
     if version != _FORMAT_VERSION:
         raise _OtherVersion(f"unsupported null-table format version {version}")
-    stats = np.frombuffer(blob[fixed + tag_len:], dtype="<f8")
-    if stats.size != sims:
-        raise IOFailure(f"{path} is truncated: {stats.size} of {sims} statistics")
-    return NullTable(stats.copy(), m, n, depth, sims, seed)
+    payload = blob[fixed + tag_len:]
+    if len(payload) != 8 * sims:
+        fault = "truncated" if len(payload) < 8 * sims else "too long"
+        raise IOFailure(f"{path} is {fault}: {len(payload)} of {8 * sims} table bytes")
+    stats = np.frombuffer(payload, dtype="<f8").copy()
+    return NullTable(stats, m, n, depth, sims, seed)
 
 
 def cached_null_table(m, n, depth, sims, seed, cache_dir):

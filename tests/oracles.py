@@ -16,6 +16,10 @@ a chunk of relabellings.  ``ks_statistic`` and ``energy_statistic`` here
 compute them one sample pair at a time, and ``exact_energy_statistic`` in
 rational arithmetic.
 
+``august.inference`` builds the binomial cells of ``alternative_mu`` and
+their slopes in numpy.  ``binomial_cells`` and ``binomial_slopes`` read them
+from ``scipy.stats.binom`` instead.
+
 ``august.build_null_table`` draws null replicates as label sequences.
 ``float_null_statistics`` draws them the long way, as samples of values
 from a continuous law, so the tests can check that both give one law.
@@ -27,10 +31,12 @@ from fractions import Fraction
 
 import numpy as np
 from scipy.special import gammaln
+from scipy.stats import binom
 
 from august import _seeds
 from august.core import august_many
 from august.errors import AugustError, SampleTooSmall
+from august.hypergeom import SubsampleConfig
 
 
 class TooManyCombinations(AugustError):
@@ -73,6 +79,23 @@ def log_augmented_cdf(x, y, cfg):
         - log_binomial(n, cfg.r)
     )
     return terms.reshape(cfg.cells, cfg.counts_per_cell).sum(axis=1)
+
+
+def binomial_cells(depth, w):
+    """Cell k holds the Binomial(r, w) counts 2k and 2k + 1; one column per w."""
+    r = SubsampleConfig(depth).r
+    edges = np.arange(0, r + 2, 2)
+    return -np.diff(binom.sf(edges[:, None] - 1, r, w), axis=0)
+
+
+def binomial_slopes(depth, u):
+    """d/du of ``binomial_cells`` at u.
+
+    Uses d/du P(Bin(r, u) >= a) = r * P(Bin(r - 1, u) = a - 1).
+    """
+    r = SubsampleConfig(depth).r
+    edges = np.arange(0, r + 2, 2)
+    return -r * np.diff(binom.pmf(edges[:, None] - 1, r - 1, u), axis=0)
 
 
 def bootstrap_augmented_cdf(x, y, cfg, replicates, seed):

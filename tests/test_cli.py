@@ -109,6 +109,21 @@ class TestCmdTest:
         assert err["error"]["row"] == 3
         assert err["error"]["column"] == 1
 
+    def test_utf8_bom_reads_like_plain_utf8(self, workdir, monkeypatch):
+        # Spreadsheet "CSV UTF-8" exports open the file with a byte-order mark.
+        rng = np.random.default_rng(6)
+        write_labeled(str(workdir / "plain.csv"), rng.random(30), rng.random(35))
+        plain = (workdir / "plain.csv").read_bytes()
+        reports = []
+        for name, blob in (("plain", plain), ("bom", b"\xef\xbb\xbf" + plain)):
+            (workdir / name).mkdir()
+            monkeypatch.chdir(workdir / name)
+            (workdir / name / "d.csv").write_bytes(blob)
+            assert main(["test", "d.csv", "--depth", "1", "--sims", "200",
+                         "--cache-dir", "cache", "--report", "r.json"]) == EXIT_OK
+            reports.append((workdir / name / "r.json").read_bytes())
+        assert reports[0] == reports[1]
+
     def test_three_labels_is_parse_error(self, workdir, capsys):
         data = str(workdir / "labels.csv")
         with open(data, "w") as fh:

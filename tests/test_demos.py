@@ -7,6 +7,8 @@ from pathlib import Path
 
 import pytest
 
+from test_import import REFUSE_SCIPY
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -21,10 +23,12 @@ ROOT = Path(__file__).resolve().parent.parent
     "08_asymptotics.py",
 ])
 def test_demo_runs(demo, tmp_path):
-    # Demo 04 writes plot-data.json into its working directory.
+    # Demo 04 writes plot-data.json into its working directory.  The demos
+    # run on numpy alone, so the child refuses scipy.
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    run_demo = REFUSE_SCIPY + "import runpy; runpy.run_path(sys.argv[1], run_name='__main__')"
     done = subprocess.run(
-        [sys.executable, str(ROOT / "demos" / demo)],
+        [sys.executable, "-c", run_demo, str(ROOT / "demos" / demo)],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr

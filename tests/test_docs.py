@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from august.inference import _FORMAT_VERSION
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 # A module-map row: | `august.X` | contents |
@@ -32,3 +34,9 @@ def test_module_map_names_resolve(module):
     names = [token for token in _module_rows()[module] if token.isidentifier()]
     missing = [name for name in names if not hasattr(loaded, name)]
     assert not missing, f"README names {missing} on {module}, which has none"
+
+
+def test_stated_cache_format_version():
+    text = " ".join(README.read_text().split())
+    stated = re.findall(r"The format version is (\d+)", text)
+    assert stated == [str(_FORMAT_VERSION)]

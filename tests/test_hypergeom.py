@@ -10,7 +10,7 @@ from august import (
     SubsampleConfig,
     augmented_cdf,
 )
-from august.hypergeom import cell_probabilities_for_counts
+from august.hypergeom import binomial_row, cell_probabilities_for_counts
 from oracles import (
     TooManyCombinations,
     bootstrap_augmented_cdf,
@@ -32,6 +32,18 @@ def exact_cells(count, n, cfg):
         float(Fraction(sum(terms[cell * width:(cell + 1) * width]), total))
         for cell in range(cfg.cells)
     ]
+
+
+class TestBinomialRow:
+    @pytest.mark.parametrize("r", [2, 3, 1022, 1023])
+    def test_row_is_the_binomial_coefficients(self, r):
+        row = binomial_row(r)
+        assert row.tolist() == [float(math.comb(r, j)) for j in range(r + 1)]
+
+    def test_row_is_cached_and_read_only(self):
+        assert binomial_row(7) is binomial_row(7)
+        with pytest.raises(ValueError):
+            binomial_row(7)[0] = 2.0
 
 
 class TestLogBinomial:

@@ -34,8 +34,8 @@ from august import (
     save_null_table,
     sylvester,
 )
-from august.inference import _mixture_tail
-from oracles import float_null_statistics
+from august.inference import _binomial_cells, _mixture_tail
+from oracles import binomial_cells, binomial_slopes, float_null_statistics
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -227,12 +227,15 @@ class TestCachePersistence:
         with pytest.raises(IOFailure):
             load_null_table(str(path))
 
-    def test_truncated_file_raises(self, tmp_path):
+    # A cut of 3 bytes ends the table mid-float; +8 appends one float.
+    @pytest.mark.parametrize("change", [-3, -8, -16, 8])
+    def test_truncated_file_raises(self, tmp_path, change):
         table = build_null_table(20, 20, 1, 100, seed=1)
         path = save_null_table(table, str(tmp_path))
         blob = open(path, "rb").read()
-        open(path, "wb").write(blob[:-16])
-        with pytest.raises(IOFailure):
+        open(path, "wb").write(blob[:change] if change < 0 else blob + bytes(change))
+        fault = "truncated" if change < 0 else "too long"
+        with pytest.raises(IOFailure, match=fault):
             load_null_table(path)
 
 
@@ -421,6 +424,28 @@ def normal_spec(shift):
         quantile_x=scipy_stats.norm.ppf,
         label=f"normal-shift-{shift}",
     )
+
+
+class TestBinomialCells:
+    """``alternative_mu``'s numpy cells and slopes against scipy's binomial."""
+
+    W = np.concatenate([
+        [0.0, 1.0, 1e-300, 1e-12, 1.0 - 1e-12],
+        np.linspace(0.0, 1.0, 2001),
+        np.geomspace(1e-16, 0.5, 400),
+        1.0 - np.geomspace(1e-16, 0.5, 400),
+    ])
+
+    @pytest.mark.parametrize("depth", range(1, 10))
+    def test_cells_match_scipy(self, depth):
+        cells, _ = _binomial_cells(depth, self.W, self.W)
+        assert np.abs(cells - binomial_cells(depth, self.W)).max() <= 1e-13
+
+    @pytest.mark.parametrize("depth", range(1, 10))
+    def test_slopes_match_scipy(self, depth):
+        _, slopes = _binomial_cells(depth, self.W, self.W)
+        reference = binomial_slopes(depth, self.W)
+        assert np.abs(slopes - reference).max() <= 1e-13 * np.abs(reference).max()
 
 
 class TestAlternativeMu:
