@@ -18,97 +18,29 @@ Quick start::
     result = august_plus(x, y, depth=3)
     table = build_null_table(200, 220, depth=3, sims=2000, seed=1)
     print(result.statistic, p_value(result.statistic, table))
+
+Each module's ``__all__`` is its public API, and the package re-exports
+every one of them.
 """
 
-from .baselines import BaselineResult, baseline_permutation_test, energy_statistic, ks_statistic
-from .core import (
-    AugustResult,
-    TiePolicy,
-    august,
-    august_many,
-    august_plus,
-    cos_angle,
-    minimum_sample_size,
-)
-from .errors import (
-    AugustError,
-    DegenerateVector,
-    DepthOutOfRange,
-    DimensionMismatch,
-    EmptySample,
-    IOFailure,
-    LengthNotPowerOfTwo,
-    NonFiniteInput,
-    ParseError,
-    QuadratureFailure,
-    SampleTooSmall,
-    SingularCovariance,
-    TiesPresent,
-)
-from .hadamard import fwht, sylvester
-from .hypergeom import SubsampleConfig, augmented_cdf
-from .inference import (
-    AlternativeSpec,
-    NullTable,
-    alternative_mu,
-    asymptotic_p_value,
-    build_null_table,
-    cached_null_table,
-    estimate_sigma,
-    limit_covariance,
-    limit_weights,
-    load_null_table,
-    null_table_path,
-    p_value,
-    power_simulation,
-    save_null_table,
-)
-from .interpret import (
-    RegionReport,
-    emit_plot_data,
-    rank_symmetries,
-    read_plot_data,
-    region_report,
-    row_label,
-)
-from .multivariate import (
-    MahalanobisModel,
-    MultiResult,
-    fit_mahalanobis,
-    multivariate_statistic,
-    multivariate_test,
-    permutation_p_value,
-    transform,
-)
+from . import (baselines, core, errors, hadamard, hypergeom, inference, interpret,
+               multivariate)
+from .baselines import *
+from .core import *
+from .errors import *
+from .hadamard import *
+from .hypergeom import *
+from .inference import *
+from .interpret import *
+from .multivariate import *
 from .version import __version__
 
-__all__ = [
-    "__version__",
-    # core test
-    "AugustResult", "TiePolicy", "august", "august_plus", "august_many",
-    "cos_angle", "minimum_sample_size",
-    # hypergeometric machinery
-    "SubsampleConfig", "augmented_cdf",
-    # Hadamard machinery
-    "sylvester", "fwht",
-    # inference
-    "NullTable", "AlternativeSpec", "build_null_table",
-    "p_value", "estimate_sigma", "limit_covariance", "limit_weights",
-    "asymptotic_p_value", "alternative_mu",
-    "power_simulation", "null_table_path", "save_null_table",
-    "load_null_table", "cached_null_table",
-    # multivariate
-    "MahalanobisModel", "MultiResult", "fit_mahalanobis", "transform",
-    "multivariate_statistic", "multivariate_test", "permutation_p_value",
-    # interpretation
-    "RegionReport", "rank_symmetries", "region_report", "emit_plot_data",
-    "read_plot_data", "row_label",
-    # baselines
-    "BaselineResult", "ks_statistic", "energy_statistic",
-    "baseline_permutation_test",
-    # errors
-    "AugustError", "SampleTooSmall", "NonFiniteInput", "TiesPresent",
-    "DepthOutOfRange", "LengthNotPowerOfTwo", "DegenerateVector",
-    "QuadratureFailure", "SingularCovariance",
-    "DimensionMismatch", "EmptySample", "IOFailure", "ParseError",
-]
+__all__ = ["__version__"]
+__all__ += baselines.__all__
+__all__ += core.__all__
+__all__ += errors.__all__
+__all__ += hadamard.__all__
+__all__ += hypergeom.__all__
+__all__ += inference.__all__
+__all__ += interpret.__all__
+__all__ += multivariate.__all__

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import _seeds
 from .baselines import baseline_permutation_test
-from .core import TiePolicy, _check_samples, august_plus
+from .core import TiePolicy, _check_sizes, august_plus
 from .errors import (
     AugustError,
     IOFailure,
@@ -346,7 +346,7 @@ def cmd_power(args):
         for family in families
     ]
     if any("august-multi" in family_tests for _, family_tests, _ in plans):
-        _check_samples(np.zeros(args.m), np.zeros(args.n), args.multi_depth)
+        _check_sizes(args.m, args.n, args.multi_depth)
     if any("august" in family_tests for _, family_tests, _ in plans):
         table, _, _ = _null_table(args, args.m, args.n)  # serves every grid point
     out = io.StringIO()

@@ -117,14 +117,19 @@ def _resolve_ties(x, y, policy):
     return jittered[: x.size], jittered[x.size:], "jitter"
 
 
-def _check_samples(x, y, depth):
-    """Sizes and finiteness of (possibly batched) samples."""
+def _check_sizes(m, n, depth):
+    """The one sample-size floor: both sizes at least r at ``depth``."""
     r = minimum_sample_size(depth)
-    if x.shape[-1] < r or y.shape[-1] < r:
+    if m < r or n < r:
         raise SampleTooSmall(
             f"need at least {r} points per sample at depth {depth}, "
-            f"got sizes {x.shape[-1]} and {y.shape[-1]}"
+            f"got sizes {m} and {n}"
         )
+
+
+def _check_samples(x, y, depth):
+    """Sizes and finiteness of (possibly batched) samples."""
+    _check_sizes(x.shape[-1], y.shape[-1], depth)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
         raise NonFiniteInput("samples must not contain NaN or infinite values")
 

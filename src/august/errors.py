@@ -1,5 +1,12 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = [
+    "AugustError", "SampleTooSmall", "NonFiniteInput", "TiesPresent",
+    "DepthOutOfRange", "LengthNotPowerOfTwo", "DegenerateVector",
+    "QuadratureFailure", "SingularCovariance", "DimensionMismatch",
+    "EmptySample", "IOFailure", "ParseError",
+]
+
 
 class AugustError(Exception):
     """Base class for all errors raised by this package."""

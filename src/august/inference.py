@@ -40,8 +40,8 @@ from functools import lru_cache
 import numpy as np
 
 from . import _seeds
-from .core import august_labels, august_many, minimum_sample_size
-from .errors import IOFailure, QuadratureFailure, SampleTooSmall
+from .core import _check_sizes, august_labels, august_many
+from .errors import IOFailure, QuadratureFailure
 from .hadamard import sylvester
 from .hypergeom import SubsampleConfig, binomial_row
 
@@ -71,6 +71,8 @@ _MAGIC = b"AUGNULTB"
 # exactly this layout and checks the tag, so the tag stays until the
 # benchmark drops it.
 _TAG = b"uniform"
+# After the magic: version, m, n, depth, sims, seed, tag length.
+_HEADER = struct.Struct("<IQQIQQI")
 
 
 @dataclass(frozen=True)
@@ -124,9 +126,7 @@ def build_null_table(m, n, depth, sims, seed):
     set per side, and only the statistics are kept.  A seed outside
     [0, 2**64), which the cache header cannot hold, is refused first.
     """
-    r = minimum_sample_size(depth)
-    if m < r or n < r:
-        raise SampleTooSmall(f"need m, n >= {r} at depth {depth}")
+    _check_sizes(m, n, depth)
     if sims < 100:
         raise ValueError("sims must be at least 100")
     if not 0 <= seed < 2**64:  # the cache header holds the seed in 8 bytes
@@ -262,8 +262,10 @@ def asymptotic_p_value(statistic, m, n, depth):
     """``P(sum_i w_i chi2_1 > (m n / (m + n)) statistic)`` under the limit law.
 
     Deterministic, within about 1e-10 of the limit's tail, clipped to
-    [0, 1]; a statistic at or below zero gives 1.
+    [0, 1]; a statistic at or below zero gives 1.  Sizes below the floor
+    ``minimum_sample_size(depth)`` raise ``SampleTooSmall``.
     """
+    _check_sizes(m, n, depth)
     statistic = float(statistic)
     if not math.isfinite(statistic):
         raise ValueError("statistic must be finite")
@@ -380,8 +382,7 @@ def save_null_table(table, cache_dir):
     writers of one key never share a partial file.
     """
     path = null_table_path(cache_dir, *_key(table))
-    header = _MAGIC + struct.pack(
-        "<IQQIQQI", _FORMAT_VERSION, *_key(table), len(_TAG))
+    header = _MAGIC + _HEADER.pack(_FORMAT_VERSION, *_key(table), len(_TAG))
     try:
         os.makedirs(cache_dir, exist_ok=True)
         _write_atomic(path, header + _TAG + table.stats.astype("<f8").tobytes())
@@ -414,12 +415,10 @@ def load_null_table(path):
             blob = fh.read()
     except OSError as exc:
         raise IOFailure(f"could not read null table from {path}: {exc}") from exc
-    fixed = len(_MAGIC) + struct.calcsize("<IQQIQQI")
+    fixed = len(_MAGIC) + _HEADER.size
     if len(blob) < fixed or blob[: len(_MAGIC)] != _MAGIC:
         raise IOFailure(f"{path} is not a null-table cache file")
-    version, m, n, depth, sims, seed, tag_len = struct.unpack(
-        "<IQQIQQI", blob[len(_MAGIC): fixed]
-    )
+    version, m, n, depth, sims, seed, tag_len = _HEADER.unpack_from(blob, len(_MAGIC))
     if version != _FORMAT_VERSION:
         raise _OtherVersion(f"unsupported null-table format version {version}")
     payload = blob[fixed + tag_len:]

@@ -448,6 +448,7 @@ class TestCmdPower:
     @pytest.mark.parametrize("sizes, error", [
         (["--multi-depth", "12", "--m", "20", "--n", "20"], "DepthOutOfRange"),
         (["--depth", "1", "--m", "6", "--n", "6"], "SampleTooSmall"),  # r = 7
+        (["--m", "-5", "--n", "20"], "SampleTooSmall"),
     ])
     def test_multi_depth_is_checked_before_any_table(self, sizes, error, workdir,
                                                      capsys):

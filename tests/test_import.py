@@ -1,5 +1,7 @@
-"""Importing the package and its CLI stays light, and nothing needs scipy."""
+"""Importing the package and its CLI stays light, nothing needs scipy, and the
+package API is the modules' own ``__all__`` lists."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -93,3 +95,20 @@ def test_package_metadata():
     test_extra = [dep.split(">")[0] for dep in project["optional-dependencies"]["test"]]
     assert sorted(test_extra) == ["pytest", "scipy"]
     assert project["version"] == august.__version__
+
+
+def test_package_all_is_the_module_lists():
+    # Each module's __all__ is its public API; the package states no list
+    # of its own, only the version and the eight modules' lists in turn.
+    modules = ("baselines", "core", "errors", "hadamard", "hypergeom",
+               "inference", "interpret", "multivariate")
+    expected = ["__version__"]
+    for name in modules:
+        expected += importlib.import_module(f"august.{name}").__all__
+    assert august.__all__ == expected
+    assert len(set(expected)) == len(expected)
+    assert [name for name in expected if not hasattr(august, name)] == []
+    namespace = {}
+    exec("from august import *", namespace)
+    namespace.pop("__builtins__")
+    assert sorted(namespace) == sorted(expected)

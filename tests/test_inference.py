@@ -368,8 +368,9 @@ class TestLimitLaw:
             ])
             for level in (0.5, 0.1, 0.05, 0.01):
                 x = float(np.quantile(mixture, 1.0 - level))
-                # At m = n = 1000, (m n / N) S = 500 S reads the mixture at x.
-                p = asymptotic_p_value(x / 500, 1000, 1000, depth)
+                # At m = n = 1024, above depth 9's floor of 1023,
+                # (m n / N) S = 512 S reads the mixture at exactly x.
+                p = asymptotic_p_value(x / 512, 1024, 1024, depth)
                 assert abs(p - level) <= 3.0 * math.sqrt(level * (1 - level) / draws)
 
 
@@ -405,6 +406,12 @@ class TestAsymptoticPValue:
     def test_non_finite_statistic_raises(self):
         with pytest.raises(ValueError):
             asymptotic_p_value(float("nan"), 50, 50, 3)
+
+    @pytest.mark.parametrize("m, n", [(3, 3), (-3, 10), (0, 0)])
+    def test_sizes_below_the_floor_raise(self, m, n):
+        # No statistic exists below r = 15 at depth 3, so no p-value either.
+        with pytest.raises(SampleTooSmall):
+            asymptotic_p_value(0.5, m, n, 3)
 
     def test_agrees_with_monte_carlo_table(self):
         # Cross-method consistency at moderate size.
