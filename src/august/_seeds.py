@@ -79,6 +79,17 @@ def replicate_blocks(seed, domain, reps, gen_x, gen_y, m, n, rows):
         yield xs, ys
 
 
+def _row_counts(mask):
+    """Number of True per row of a boolean ``mask``.
+
+    A sum of the mask's bytes in the narrowest integer that holds a row's
+    count, since ``np.count_nonzero(mask, axis=1)`` and a sum in the
+    default integer widen every byte to 64 bits first.
+    """
+    wide = np.uint16 if mask.shape[1] < 1 << 16 else np.uint32
+    return np.add.reduce(mask.view(np.uint8), axis=1, dtype=wide).astype(np.int64)
+
+
 def _fix_counts(mask, n, rng):
     """Flip uniformly chosen surplus labels until every row of ``mask`` has n True.
 
@@ -89,9 +100,17 @@ def _fix_counts(mask, n, rng):
     drawn up front, row by row, as exact bounded integers from ``rng``;
     the steps then run across all rows at once, each row's ranks in its own
     stretch of ``taken``.
+
+    Two passes read the whole piece: the row counts, and one
+    ``flatnonzero`` that lists the surplus positions.  Everything else
+    works on the flips alone: a stable sort on a 16-bit step key puts the
+    ranks in step order (a radix sort, where the 64-bit key took a
+    timsort), and the final pick of every step is kept in place, so the
+    flips are one integer gather of the surplus positions at those picks,
+    not a boolean pass over every surplus position.
     """
     total = mask.shape[1]
-    counts = np.count_nonzero(mask, axis=1)
+    counts = _row_counts(mask)
     over = counts > n
     flips = np.abs(counts - n)
     ends = np.cumsum(flips)
@@ -102,7 +121,8 @@ def _fix_counts(mask, n, rng):
     j = np.repeat(size - flips, flips) + step
     t = rng.integers(0, j + 1)
     base = np.repeat(np.cumsum(size) - size, flips)
-    by_step = np.argsort(step, kind="stable")
+    key = step.astype(np.uint16) if total <= 1 << 16 else step  # step < total
+    by_step = np.argsort(key, kind="stable")
     t = (t + base)[by_step]
     j = (j + base)[by_step]
     taken = np.zeros(size.sum(), dtype=bool)
@@ -111,8 +131,9 @@ def _fix_counts(mask, n, rng):
         picked = t[done:done + live]
         picked = np.where(taken[picked], j[done:done + live], picked)
         taken[picked] = True
+        t[done:done + live] = picked
         done += live
-    at = np.flatnonzero(mask == over[:, None])[taken]
+    at = np.flatnonzero(mask == over[:, None])[t]
     flat = mask.ravel()
     flat[at] = ~flat[at]
 

@@ -63,12 +63,40 @@ def _parse_float(text, row, column):
     return value
 
 
+def _values(fields, width):
+    """The ``(rows, width)`` float matrix of ``fields``, listed row by row.
+
+    One ``np.array`` call converts every field with the parser ``float()``
+    uses, and one ``np.isfinite`` checks them all.  Only when that fails are
+    the stripped fields walked one by one, so the refusal is the first bad
+    field in row order, as a row-by-row parse gives it.
+    """
+    try:
+        values = np.array(fields, dtype=np.float64)
+        finite = np.isfinite(values).all()
+    except ValueError:
+        finite = False
+    if not finite:
+        values = np.array([
+            _parse_float(text.strip(), at // width + 1, at % width + 1)
+            for at, text in enumerate(fields)
+        ], dtype=np.float64)
+    return values.reshape(-1, width)
+
+
 def _read_rows(path, labelled, width):
     """Parse ``path`` into ``(values, labels)``.
 
     Every row holds ``width`` numbers (the first row's count when ``width``
     is None), followed by a group label when ``labelled``; ``labels`` lists
-    each row's label, or is empty.
+    each row's stripped label, or is empty.  Row numbers count the
+    non-blank lines.
+
+    One Python pass over the lines skips blank ones, checks each row's
+    field count and takes its label; the value fields are then converted
+    all at once by ``_values``.  A row with the wrong field count has the
+    rows before it converted first, so a bad value there is still the error
+    reported, as in a row-by-row parse.
     """
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
@@ -77,24 +105,22 @@ def _read_rows(path, labelled, width):
         raise IOFailure(f"could not read {path}: {exc}") from exc
     if not lines:
         raise ParseError(f"{path} contains no data rows")
-    values, labels = [], []
+    fields, labels = [], []
     for number, line in enumerate(lines, start=1):
-        fields = [f.strip() for f in line.split(",")]
+        row = line.split(",")
         if width is None:
-            width = max(len(fields) - labelled, 1)
-        if len(fields) != width + labelled:
+            width = max(len(row) - labelled, 1)
+        if len(row) != width + labelled:
+            _values(fields, width)
             raise ParseError(
-                f"{path}: row {number} has {len(fields)} fields, "
+                f"{path}: row {number} has {len(row)} fields, "
                 f"expected {width + labelled}",
                 row=number,
             )
         if labelled:
-            labels.append(fields.pop())
-        values.append([
-            _parse_float(text, number, column)
-            for column, text in enumerate(fields, start=1)
-        ])
-    return np.asarray(values, dtype=np.float64), labels
+            labels.append(row.pop().strip())
+        fields += row
+    return _values(fields, width), labels
 
 
 def _load_samples(paths, multivariate):

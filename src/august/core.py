@@ -33,7 +33,7 @@ import numpy as np
 from . import _seeds
 from .errors import DegenerateVector, NonFiniteInput, SampleTooSmall, TiesPresent
 from .hadamard import fwht
-from .hypergeom import SubsampleConfig, cell_probabilities_for_counts
+from .hypergeom import SubsampleConfig, _is_integer, cell_probabilities_for_counts
 
 __all__ = [
     "TiePolicy",
@@ -118,8 +118,10 @@ def _resolve_ties(x, y, policy):
 
 
 def _check_sizes(m, n, depth):
-    """The one sample-size floor: both sizes at least r at ``depth``."""
+    """The one sample-size floor: both sizes integers of at least r at ``depth``."""
     r = minimum_sample_size(depth)
+    if not (_is_integer(m) and _is_integer(n)):
+        raise SampleTooSmall(f"sample sizes must be integers, got {m!r} and {n!r}")
     if m < r or n < r:
         raise SampleTooSmall(
             f"need at least {r} points per sample at depth {depth}, "

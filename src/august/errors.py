@@ -13,7 +13,7 @@ class AugustError(Exception):
 
 
 class SampleTooSmall(AugustError):
-    """A sample is smaller than the operation's minimum size."""
+    """A sample size is not an integer, or is below the operation's minimum."""
 
 
 class NonFiniteInput(AugustError):
@@ -25,7 +25,7 @@ class TiesPresent(AugustError):
 
 
 class DepthOutOfRange(AugustError):
-    """Binary depth outside the supported range."""
+    """Binary depth that is not an integer in the supported range."""
 
 
 class LengthNotPowerOfTwo(AugustError):

@@ -33,6 +33,11 @@ _BLOCK = 2048
 _MAX_DEPTH = 9
 
 
+def _is_integer(value):
+    """True for a Python or numpy integer, False for a bool or a float."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class SubsampleConfig:
     """Depth and the subsample size it fixes.
@@ -44,6 +49,8 @@ class SubsampleConfig:
     depth: int
 
     def __post_init__(self):
+        if not _is_integer(self.depth):
+            raise DepthOutOfRange(f"depth must be an integer, got {self.depth!r}")
         if self.depth < 1:
             raise ValueError("depth must be a positive integer")
         if self.depth > _MAX_DEPTH:

@@ -23,6 +23,11 @@ from ``scipy.stats.binom`` instead.
 ``august.build_null_table`` draws null replicates as label sequences.
 ``float_null_statistics`` draws them the long way, as samples of values
 from a continuous law, so the tests can check that both give one law.
+
+``august._seeds._fix_counts`` evens out the y labels of a piece of label
+masks.  ``fix_counts_full_scan`` makes the same draws and flips through
+passes over the whole piece: per-row ``count_nonzero``, a 64-bit timsort
+of the steps and a boolean mask over every surplus position.
 """
 
 import itertools
@@ -223,3 +228,32 @@ def float_null_statistics(m, n, depth, sims, seed, sampler):
         ys = np.array([sampler(rng, n) for rng in rngs])
         stats.append(august_many(xs, ys, depth)[0])
     return np.sort(np.concatenate(stats))
+
+
+def fix_counts_full_scan(mask, n, rng):
+    """``_seeds._fix_counts`` by full passes: the same draws, the same flips."""
+    total = mask.shape[1]
+    counts = np.count_nonzero(mask, axis=1)
+    over = counts > n
+    flips = np.abs(counts - n)
+    ends = np.cumsum(flips)
+    if not ends[-1]:
+        return
+    size = np.where(over, counts, total - counts)
+    step = np.arange(ends[-1]) - np.repeat(ends - flips, flips)
+    j = np.repeat(size - flips, flips) + step
+    t = rng.integers(0, j + 1)
+    base = np.repeat(np.cumsum(size) - size, flips)
+    by_step = np.argsort(step, kind="stable")
+    t = (t + base)[by_step]
+    j = (j + base)[by_step]
+    taken = np.zeros(size.sum(), dtype=bool)
+    done = 0
+    for live in np.bincount(step).tolist():
+        picked = t[done:done + live]
+        picked = np.where(taken[picked], j[done:done + live], picked)
+        taken[picked] = True
+        done += live
+    at = np.flatnonzero(mask == over[:, None])[taken]
+    flat = mask.ravel()
+    flat[at] = ~flat[at]

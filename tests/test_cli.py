@@ -13,8 +13,11 @@ from august.cli import (
     EXIT_PARSE,
     EXIT_PRECONDITION,
     EXIT_USAGE,
+    _parse_float,
+    _read_rows,
     main,
 )
+from august.errors import ParseError
 
 
 def write_labeled(path, x, y, labels=("a", "b")):
@@ -698,3 +701,105 @@ class TestExitCodes:
         code = main(["--version"])
         assert code == EXIT_OK
         assert capsys.readouterr().out.strip()
+
+
+def read_rows_by_field(path, labelled, width):
+    """The row-by-row reading: strip every field, ``_parse_float`` each value."""
+    values, labels = [], []
+    with open(path, encoding="utf-8-sig") as fh:
+        lines = [line for line in fh if line.strip()]
+    for number, line in enumerate(lines, start=1):
+        fields = [f.strip() for f in line.split(",")]
+        width = width or len(fields) - labelled
+        assert len(fields) == width + labelled
+        if labelled:
+            labels.append(fields.pop())
+        values.append([_parse_float(text, number, column)
+                       for column, text in enumerate(fields, start=1)])
+    return np.asarray(values, dtype=np.float64), labels
+
+
+class TestReadRows:
+    @staticmethod
+    def _refusal(path, labelled=True, width=1):
+        with pytest.raises(ParseError) as caught:
+            _read_rows(path, labelled, width)
+        return caught.value
+
+    @pytest.mark.parametrize("labelled, width", [(False, 1), (True, 1), (True, None)])
+    def test_values_equal_the_field_by_field_parse(self, workdir, labelled, width):
+        rng = np.random.default_rng(17)
+        wide = 3 if width is None else 1
+        styles = ("{!r}", " {!r} ", "{:.3e}", "{:.0f}", "\t{:g}", "{:.17g}")
+        path = str(workdir / "d.csv")
+        with open(path, "w") as fh:
+            for row in range(500):
+                values = rng.standard_cauchy(wide) * 10.0 ** rng.integers(-30, 30)
+                fields = [styles[rng.integers(len(styles))].format(float(v)) for v in values]
+                if labelled:
+                    fields.append(" b " if row % 3 else "a")
+                fh.write(",".join(fields) + "\n")
+        values, labels = _read_rows(path, labelled, width)
+        expected, expected_labels = read_rows_by_field(path, labelled, width)
+        assert values.shape == (500, wide)
+        assert values.tobytes() == expected.tobytes()
+        assert labels == expected_labels
+
+    def test_first_error_in_row_order(self, workdir):
+        # A bad value in an earlier row wins over a wrong field count in a
+        # later one, and the other way round.
+        path = str(workdir / "d.csv")
+        with open(path, "w") as fh:
+            fh.write("1,a\n2,a\noops,b\n4,b\n5,b,6\n")
+        error = self._refusal(path)
+        assert (error.row, error.column) == (3, 1)
+        assert "'oops' is not a finite number" in str(error)
+        with open(path, "w") as fh:
+            fh.write("1,a\n2,a,3\noops,b\n4,b\n")
+        error = self._refusal(path)
+        assert (error.row, error.column) == (2, None)
+        assert "row 2 has 3 fields, expected 2" in str(error)
+
+    @pytest.mark.parametrize("text", ["nan", " -inf ", "Infinity", "1e400", "0x10", "", "1,5"])
+    def test_non_finite_and_non_numbers_are_refused_where_they_are(self, workdir, text):
+        path = str(workdir / "d.csv")
+        with open(path, "w") as fh:
+            fh.write(f"1,2,a\n3,{text},a\n5,6,b\n")
+        error = self._refusal(path, width=None)
+        if text == "1,5":  # a fourth field
+            assert (error.row, error.column) == (2, None)
+        else:
+            assert (error.row, error.column) == (2, 2)
+            assert f"{text.strip()!r} is not a finite number" in str(error)
+
+    def test_values_float_accepts_are_accepted(self, workdir):
+        path = str(workdir / "d.csv")
+        texts = ["1_0", "\u0661\u0662", "\uff13", " +.5 ", "1e-400", "-0", "5."]
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.writelines(f"{text},a\n" for text in texts)
+        values, _ = _read_rows(path, True, 1)
+        assert values.ravel().tolist() == [float(text) for text in texts]
+        assert values.ravel().tolist() == [10.0, 12.0, 3.0, 0.5, 0.0, -0.0, 5.0]
+        # Fields are stripped as ``str.strip`` strips, also of separators
+        # that ``float()`` itself would refuse.
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\x1c1.5\x1f,a\n2,b\n")
+        assert _read_rows(path, True, 1)[0].ravel().tolist() == [1.5, 2.0]
+
+    def test_bom_and_blank_lines_keep_the_row_numbers(self, workdir):
+        path = workdir / "d.csv"
+        path.write_bytes(b"\xef\xbb\xbf1,a\n\n   \n\t\n2,a\r\n3,b\n\n4,b\nnan,b\n")
+        error = self._refusal(str(path))
+        assert (error.row, error.column) == (5, 1)
+        path.write_bytes(path.read_bytes().replace(b"nan", b"5"))
+        values, labels = _read_rows(str(path), True, 1)
+        assert values.ravel().tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert labels == ["a", "a", "b", "b", "b"]
+
+    def test_labels_are_stripped(self, workdir):
+        path = str(workdir / "d.csv")
+        with open(path, "w") as fh:
+            fh.write("1,  a\n2,a \t\n3,\tb\n4, b\n")
+        values, labels = _read_rows(path, True, 1)
+        assert labels == ["a", "a", "b", "b"]
+        assert values.ravel().tolist() == [1.0, 2.0, 3.0, 4.0]

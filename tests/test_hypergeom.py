@@ -85,6 +85,12 @@ class TestSubsampleConfig:
         with pytest.raises(ValueError):
             SubsampleConfig(0)
 
+    def test_depth_must_be_an_integer(self):
+        for depth in (3.0, 2.5, np.float64(3), True, np.bool_(True), "3"):
+            with pytest.raises(DepthOutOfRange, match="integer"):
+                SubsampleConfig(depth)
+        assert SubsampleConfig(np.int64(3)).r == SubsampleConfig(np.uint8(3)).r == 15
+
     def test_subsample_size_is_capped(self):
         # C(r, j) must fit a float: r = 2**(depth+1) - 1 <= 1023.
         assert SubsampleConfig(9).r == 1023

@@ -14,6 +14,7 @@ from scipy import stats as scipy_stats
 from august import _seeds, core
 from august import (
     AlternativeSpec,
+    DepthOutOfRange,
     IOFailure,
     NullTable,
     QuadratureFailure,
@@ -53,6 +54,11 @@ class TestNullTable:
     def test_size_precondition(self):
         with pytest.raises(SampleTooSmall):
             build_null_table(5, 50, 2, 100, seed=0)  # r = 7
+
+    def test_non_integer_size_is_refused_before_any_draw(self, monkeypatch):
+        monkeypatch.setattr(_seeds, "relabellings", None)
+        with pytest.raises(SampleTooSmall, match="integers"):
+            build_null_table(20.5, 20, 1, 100, 0)
 
     def test_sims_floor(self):
         with pytest.raises(ValueError):
@@ -412,6 +418,20 @@ class TestAsymptoticPValue:
         # No statistic exists below r = 15 at depth 3, so no p-value either.
         with pytest.raises(SampleTooSmall):
             asymptotic_p_value(0.5, m, n, 3)
+
+    @pytest.mark.parametrize("m, n", [(100.5, 100), (100, np.float64(100)), (True, 100)])
+    def test_non_integer_sizes_raise(self, m, n):
+        with pytest.raises(SampleTooSmall, match="integers"):
+            asymptotic_p_value(0.05, m, n, 3)
+
+    @pytest.mark.parametrize("depth", [3.0, np.float64(3), True])
+    def test_non_integer_depth_raises(self, depth):
+        with pytest.raises(DepthOutOfRange, match="integer"):
+            asymptotic_p_value(0.05, 100, 100, depth)
+
+    def test_numpy_integer_sizes_and_depth_are_integers(self):
+        assert asymptotic_p_value(0.05, np.int64(100), np.int32(100), np.int64(3)) == (
+            asymptotic_p_value(0.05, 100, 100, 3))
 
     def test_agrees_with_monte_carlo_table(self):
         # Cross-method consistency at moderate size.

@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from august import _seeds
+from oracles import fix_counts_full_scan
 
 
 def _all_rows(permutations=2100, m=5, n=7, seed=31):
@@ -83,6 +84,64 @@ class TestRelabellings:
 
     def test_no_relabellings(self):
         assert list(_seeds.relabellings(0, _seeds.BASELINE, 0, 2, 3)) == []
+
+
+def _bulk(total, n, rows, seed):
+    # Bulk labels as ``relabellings`` draws them: y where a 16-bit draw is
+    # below round(65536 n / total).
+    raw = np.random.default_rng(seed).bit_generator.random_raw(rows * -(-total // 4))
+    return raw.view(np.uint16).reshape(rows, -1)[:, :total] < round(65536 * n / total)
+
+
+class TestFixCounts:
+    def _same_as_full_scan(self, mask, n, seed):
+        ours, theirs = mask.copy(), mask.copy()
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        _seeds._fix_counts(ours, n, rng)
+        fix_counts_full_scan(theirs, n, oracle_rng)
+        assert ours.tobytes() == theirs.tobytes()
+        assert np.array_equal(ours.sum(axis=1), np.full(len(mask), n))
+        # Both consumed the same draws.
+        assert rng.integers(2**63) == oracle_rng.integers(2**63)
+        return ours
+
+    @pytest.mark.parametrize("total", [2, 7, 8, 63, 64, 65, 730, 3411, 65537])
+    def test_random_pieces_match_the_full_scan(self, total):
+        rows = max(1, 2**20 // total)
+        for seed, n in enumerate(sorted({1, total // 3, total // 2, total - 1} - {0})):
+            self._same_as_full_scan(_bulk(total, n, rows, seed), n, seed)
+
+    def test_one_point_per_side(self):
+        # m = 1 or n = 1: at most one label to place per row.
+        for m, n in ((1, 1), (1, 6), (6, 1), (1, 729), (729, 1)):
+            self._same_as_full_scan(_bulk(m + n, n, 500, m * n), n, 3)
+
+    def test_piece_with_no_flips_is_left_alone(self):
+        mask = _all_rows(300, 5, 7)
+        rng = np.random.default_rng(0)
+        assert self._same_as_full_scan(mask, 7, 0).tobytes() == mask.tobytes()
+        # No flips draw nothing.
+        _seeds._fix_counts(mask, 7, rng)
+        assert rng.integers(2**63) == np.random.default_rng(0).integers(2**63)
+
+    @pytest.mark.parametrize("n", [1, 350, 699])
+    def test_every_row_over_or_every_row_under(self, n):
+        # Up to 699 flips per row: steps past any 8-bit key.
+        full = np.ones((20, 700), dtype=bool)
+        self._same_as_full_scan(full, n, n)
+        self._same_as_full_scan(~full, n, n)
+
+    def test_random_piece_with_every_row_over_or_under(self):
+        mask = _bulk(100, 50, 300, 4)
+        counts = mask.sum(axis=1)
+        self._same_as_full_scan(mask, counts.min() - 1, 5)
+        self._same_as_full_scan(mask, counts.max() + 1, 6)
+
+    @pytest.mark.parametrize("total", [1, 7, 8, 63, 64, 65, 730, 65535, 65536, 65537])
+    def test_row_counts_equal_count_nonzero(self, total):
+        mask = _bulk(total, max(total // 2, 1), max(3, 2**18 // total), total)
+        mask[0], mask[-1] = False, True  # an empty and a full row
+        assert np.array_equal(_seeds._row_counts(mask), np.count_nonzero(mask, axis=1))
 
 
 def test_negative_seed_rejected():
