@@ -10,10 +10,19 @@ package cold, one process per workload.
 Exit codes: 0 success, 2 usage, 3 parse failure, 4 precondition violation,
 5 I/O failure.  Failures, usage errors included, print a machine-readable
 JSON error object to stderr.
+
+``main`` may be called any number of times in one process.  It parses with
+one parser, built by ``build_parser`` on the first call and kept for the
+life of the process, so later calls pay only for their own work.  Each
+subcommand's ``cmd_*`` function is bound into that parser when it is built:
+to wrap or replace behaviour, patch the names the ``cmd_*`` functions call
+(``august_plus``, ``cached_null_table``, ...), as ``benchmark/tracer.py``
+does, not the ``cmd_*`` functions themselves.
 """
 
 import argparse
 import csv
+import functools
 import io
 import json
 import os
@@ -28,6 +37,7 @@ from .errors import (
     AugustError,
     IOFailure,
     ParseError,
+    SampleTooSmall,
 )
 from .families import BIVARIATE_FAMILIES, UNIVARIATE_FAMILIES, get_family
 from .inference import (
@@ -364,17 +374,25 @@ def _family_tests(family, tests):
 def cmd_power(args):
     names = args.families or sorted(UNIVARIATE_FAMILIES)
     families = [get_family(name) for name in names]
-    # Every sampler, and the sizes at --multi-depth, are checked before any
-    # simulation, so a refused parameter leaves no table and no partial work.
+    # Every sampler and every size floor is checked before any simulation,
+    # so a refused parameter leaves no table and no partial work.  The
+    # august table checks its floor of r points per sample before it is
+    # built; it is above the floor of 1 that ks and energy need.
     plans = [
         (family, _family_tests(family, args.tests),
          [(p, family.alternative(p)) for p in args.params or family.default_grid])
         for family in families
     ]
-    if any("august-multi" in family_tests for _, family_tests, _ in plans):
+    tests = {test for _, family_tests, _ in plans for test in family_tests}
+    if "august-multi" in tests:
         _check_sizes(args.m, args.n, args.multi_depth)
-    if any("august" in family_tests for _, family_tests, _ in plans):
+    if "august" in tests:
         table, _, _ = _null_table(args, args.m, args.n)  # serves every grid point
+    if tests & {"ks", "energy"} and min(args.m, args.n) < 1:
+        raise SampleTooSmall(
+            f"ks and energy need at least 1 point per sample, "
+            f"got sizes {args.m} and {args.n}"
+        )
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["family", "parameter", "test", "power"])
@@ -469,6 +487,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser():
+    """A new parser for the ``august`` command line."""
     parser = _Parser(
         prog="august",
         description="Distribution-free two-sample testing with interpretable "
@@ -547,6 +566,12 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The parser ``main`` uses, built on first use and kept for the process."""
+    return build_parser()
+
+
 # Exit code per failure, tried in order: ParseError and IOFailure are
 # AugustErrors, so they come before the catch-all precondition row.
 _EXIT_CODES = (
@@ -558,8 +583,13 @@ _EXIT_CODES = (
 
 
 def main(argv=None):
+    """Run one ``august`` command line; return its exit code.
+
+    The parser is built on the first call and kept for the process, with
+    each ``cmd_*`` function bound into it then; see the module docstring.
+    """
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         return args.func(args)
     except SystemExit as exc:  # --help and --version
         return exc.code

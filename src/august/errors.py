@@ -24,8 +24,12 @@ class TiesPresent(AugustError):
     """Duplicate values in the combined sample under the 'error' tie policy."""
 
 
-class DepthOutOfRange(AugustError):
-    """Binary depth that is not an integer in the supported range."""
+class DepthOutOfRange(AugustError, ValueError):
+    """Binary depth that is not an integer in the supported range.
+
+    It is also a ``ValueError``, so a caller that catches a bad argument
+    value as one catches a bad depth too.
+    """
 
 
 class LengthNotPowerOfTwo(AugustError):

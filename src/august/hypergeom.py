@@ -52,7 +52,7 @@ class SubsampleConfig:
         if not _is_integer(self.depth):
             raise DepthOutOfRange(f"depth must be an integer, got {self.depth!r}")
         if self.depth < 1:
-            raise ValueError("depth must be a positive integer")
+            raise DepthOutOfRange("depth must be a positive integer")
         if self.depth > _MAX_DEPTH:
             raise DepthOutOfRange(
                 f"depth {self.depth} exceeds {_MAX_DEPTH}: the binomial "

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +18,7 @@ from august.cli import (
     EXIT_USAGE,
     _parse_float,
     _read_rows,
+    build_parser,
     main,
 )
 from august.errors import ParseError
@@ -452,6 +456,7 @@ class TestCmdPower:
         (["--multi-depth", "12", "--m", "20", "--n", "20"], "DepthOutOfRange"),
         (["--depth", "1", "--m", "6", "--n", "6"], "SampleTooSmall"),  # r = 7
         (["--m", "-5", "--n", "20"], "SampleTooSmall"),
+        (["--multi-depth", "0", "--m", "20", "--n", "20"], "DepthOutOfRange"),
     ])
     def test_multi_depth_is_checked_before_any_table(self, sizes, error, workdir,
                                                      capsys):
@@ -462,6 +467,24 @@ class TestCmdPower:
         assert code == EXIT_PRECONDITION
         assert json.loads(capsys.readouterr().err)["error"]["type"] == error
         # Refused before any simulation: no table, no report.
+        assert not out.exists() and not (workdir / "cache").exists()
+
+    @pytest.mark.parametrize("tests, sizes, message", [
+        ("ks", ["--m", "-5"], "ks and energy need at least 1 point"),
+        ("energy", ["--m", "0"], "ks and energy need at least 1 point"),
+        ("ks,energy", ["--n", "0"], "ks and energy need at least 1 point"),
+        # The august table's floor is the higher one, and comes first.
+        ("august,ks", ["--m", "0"], "need at least 15 points per sample"),
+    ])
+    def test_baseline_sizes_are_checked_before_any_draw(self, tests, sizes, message,
+                                                        workdir, capsys):
+        out = workdir / "power.csv"
+        code = main(["power", "--families", "null", "--tests", tests, "--params", "0",
+                     *sizes, "--reps", "100", "--sims", "100", "--permutations", "100",
+                     "--cache-dir", str(workdir / "cache"), "--report", str(out)])
+        assert code == EXIT_PRECONDITION
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "SampleTooSmall" and message in err["message"]
         assert not out.exists() and not (workdir / "cache").exists()
 
     @pytest.mark.parametrize("family", ["laplace-scale", "mvn-scale"])
@@ -702,6 +725,24 @@ class TestExitCodes:
         assert code == EXIT_OK
         assert capsys.readouterr().out.strip()
 
+    @pytest.mark.parametrize("argv", [
+        ["test", "d.csv", "--depth", "0", "--cache-dir", "cache"],
+        ["interpret", "d.csv", "--reference", "y", "--depth", "-2"],
+        ["null-table", "--m", "20", "--n", "20", "--depth", "-1", "--sims", "100",
+         "--cache-dir", "cache"],
+    ])
+    def test_depth_below_one_is_precondition_error(self, argv, workdir,
+                                                   monkeypatch, capsys):
+        # The parser leaves --depth unchecked; the library refuses it typed.
+        monkeypatch.chdir(workdir)
+        rng = np.random.default_rng(18)
+        write_labeled("d.csv", rng.random(30), rng.random(35))
+        assert main(argv) == EXIT_PRECONDITION
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err == {"type": "DepthOutOfRange",
+                       "message": "depth must be a positive integer"}
+        assert os.listdir(workdir) == ["d.csv"]
+
 
 def read_rows_by_field(path, labelled, width):
     """The row-by-row reading: strip every field, ``_parse_float`` each value."""
@@ -803,3 +844,138 @@ class TestReadRows:
         values, labels = _read_rows(path, True, 1)
         assert labels == ["a", "a", "b", "b"]
         assert values.ravel().tolist() == [1.0, 2.0, 3.0, 4.0]
+
+
+def run_in(directory, argvs, capsys):
+    """Each argv's exit code, stdout and stderr, then every file written."""
+    os.chdir(directory)
+    calls = []
+    for argv in argvs:
+        code = main(argv)
+        captured = capsys.readouterr()
+        calls.append((code, captured.out, captured.err))
+    files = {str(path.relative_to(directory)): path.read_bytes()
+             for path in sorted(directory.rglob("*")) if path.is_file()}
+    return calls, files
+
+
+class TestParserReuse:
+    """``main`` keeps one parser; every call reads as with a fresh one."""
+
+    SEQUENCE = [
+        ["test", "d.csv", "--seed", "-1"],
+        ["--version"],
+        ["test", "d.csv", "--depth", "2", "--sims", "200", "--seed", "3",
+         "--cache-dir", "cache", "--report", "test.json"],
+        ["interpret", "d.csv", "--depth", "2", "--reference", "y",
+         "--report", "plot.json"],
+        ["null-table", "--m", "24", "--n", "24", "--depth", "1", "--sims", "150",
+         "--cache-dir", "cache"],
+        ["power", "--families", "null", "--params", "0", "--tests", "august,ks",
+         "--m", "16", "--n", "16", "--depth", "1", "--reps", "100", "--sims", "100",
+         "--permutations", "100", "--cache-dir", "cache", "--report", "power.csv"],
+        ["interpret", "d.csv"],
+    ]
+    SEQUENCE.append(SEQUENCE[2])  # a cache hit now
+
+    @pytest.fixture()
+    def dirs(self, workdir, monkeypatch):
+        rng = np.random.default_rng(19)
+        x, y = rng.normal(size=30), rng.normal(0.5, 1.0, size=35)
+        monkeypatch.chdir(workdir)  # restored after the test
+        for name in ("kept", "fresh"):
+            (workdir / name).mkdir()
+            write_labeled(str(workdir / name / "d.csv"), x, y)
+        return workdir / "kept", workdir / "fresh"
+
+    @staticmethod
+    def recording(parse_args, namespaces):
+        def parse(argv):
+            args = parse_args(argv)
+            namespaces.append(vars(args))
+            return args
+        return parse
+
+    @pytest.fixture()
+    def cold_parser(self):
+        """No parser is kept when the test starts, nor after it."""
+        cached = august.cli._parser
+        cached.cache_clear()
+        yield
+        cached.cache_clear()
+
+    def test_every_call_reads_as_with_a_fresh_parser(self, cold_parser, dirs,
+                                                      monkeypatch, capsys):
+        kept_dir, fresh_dir = dirs
+        built, kept, fresh = [], [], []
+
+        def counting_build():
+            built.append(None)
+            return build_parser()
+
+        monkeypatch.setattr(august.cli, "build_parser", counting_build)
+        parser = august.cli._parser()
+        monkeypatch.setattr(parser, "parse_args",
+                            self.recording(parser.parse_args, kept))
+        kept_run = run_in(kept_dir, self.SEQUENCE, capsys)
+        assert len(built) == 1
+
+        def fresh_parser():
+            parser = build_parser()
+            parser.parse_args = self.recording(parser.parse_args, fresh)
+            return parser
+
+        monkeypatch.setattr(august.cli, "_parser", fresh_parser)
+        fresh_run = run_in(fresh_dir, self.SEQUENCE, capsys)
+
+        assert kept_run == fresh_run
+        codes = [code for code, _, _ in kept_run[0]]
+        assert codes == [EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK, EXIT_OK,
+                         EXIT_USAGE, EXIT_OK]
+        assert '"cache_hit": true' in kept_run[1]["test.json"].decode()
+        assert {"test.json", "plot.json", "power.csv"} <= set(kept_run[1])
+        # --version and the two usage errors return no namespace.
+        assert len(kept) == 5 and kept == fresh
+
+    def test_build_parser_returns_a_new_parser(self, workdir, capsys):
+        ours = build_parser()
+        assert ours is not build_parser() and ours is not august.cli._parser()
+        assert august.cli._parser() is august.cli._parser()
+        # Mutating a parser that build_parser returned leaves main alone.
+        ours.set_defaults(subcommand="mutated")
+        test_parser = ours._subparsers._group_actions[0].choices["test"]
+        test_parser.set_defaults(func=None, sims=5)
+        rng = np.random.default_rng(20)
+        data = str(workdir / "d.csv")
+        write_labeled(data, rng.normal(size=30), rng.normal(size=35))
+        report = str(workdir / "r.json")
+        assert main(["test", data, "--depth", "1", "--cache-dir",
+                     str(workdir / "cache"), "--report", report]) == EXIT_OK
+        config = json.load(open(report))["config"]
+        assert config["subcommand"] == "test" and config["sims"] == 10_000
+
+    def test_no_default_is_shared_between_parses(self):
+        parser = august.cli._parser()
+        subparsers = parser._subparsers._group_actions[0].choices.values()
+        for each in (parser, *subparsers):
+            defaults = [action.default for action in each._actions]
+            defaults += list(each._defaults.values())
+            assert not [d for d in defaults if isinstance(d, (list, dict, set))]
+        first = parser.parse_args(["power"])
+        first.tests.append("ks")
+        assert parser.parse_args(["power"]).tests == ["august"]
+        data = parser.parse_args(["test", "a.csv"]).data
+        data.append("b.csv")
+        assert parser.parse_args(["test", "a.csv"]).data == ["a.csv"]
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--version"], EXIT_OK),
+        (["test", "d.csv", "--seed", "-1"], EXIT_USAGE),
+    ])
+    def test_fresh_interpreter(self, argv, code, tmp_path):
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run([sys.executable, "-m", "august.cli", *argv],
+                              cwd=tmp_path, env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert done.returncode == code, done.stderr

@@ -290,21 +290,32 @@ class TestInvariances:
             assert abs(result.statistic) <= (1 << depth) - 1 + 1e-12
 
 
+# The three entry points that check a depth before any work.
+EVERY_DEPTH_CHECK = pytest.mark.parametrize("compute", [
+    august_plus,
+    lambda x, y, depth: august_many(x[None], y[None], depth),
+    lambda x, y, depth: build_null_table(x.size, y.size, depth, 100, 0),
+], ids=["august_plus", "august_many", "build_null_table"])
+
+
 class TestPreconditions:
     def test_sample_too_small(self):
         with pytest.raises(SampleTooSmall):
             august_plus(np.arange(6.0), np.arange(100.0), 2)  # r = 7
 
-    @pytest.mark.parametrize("compute", [
-        august_plus,
-        lambda x, y, depth: august_many(x[None], y[None], depth),
-        lambda x, y, depth: build_null_table(x.size, y.size, depth, 100, 0),
-    ], ids=["august_plus", "august_many", "build_null_table"])
+    @EVERY_DEPTH_CHECK
     def test_unsupported_depth_is_refused(self, compute):
         # Depth 10 needs r = 2047, whose binomial weights overflow a float.
         x, y = np.random.default_rng(10).random((2, 2100))
         with pytest.raises(DepthOutOfRange):
             compute(x, y, 10)
+
+    @EVERY_DEPTH_CHECK
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_is_refused(self, compute, depth):
+        x, y = np.random.default_rng(10).random((2, 50))
+        with pytest.raises(DepthOutOfRange, match="positive integer"):
+            compute(x, y, depth)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("which", ["x", "y"])

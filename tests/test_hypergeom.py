@@ -85,6 +85,13 @@ class TestSubsampleConfig:
         with pytest.raises(ValueError):
             SubsampleConfig(0)
 
+    @pytest.mark.parametrize("depth", [0, -1, np.int64(0)])
+    def test_depth_below_one_is_typed(self, depth):
+        # Still a ValueError, as it was before it had a type of its own.
+        assert issubclass(DepthOutOfRange, ValueError)
+        with pytest.raises(DepthOutOfRange, match="positive integer"):
+            SubsampleConfig(depth)
+
     def test_depth_must_be_an_integer(self):
         for depth in (3.0, 2.5, np.float64(3), True, np.bool_(True), "3"):
             with pytest.raises(DepthOutOfRange, match="integer"):

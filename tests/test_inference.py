@@ -429,6 +429,11 @@ class TestAsymptoticPValue:
         with pytest.raises(DepthOutOfRange, match="integer"):
             asymptotic_p_value(0.05, 100, 100, depth)
 
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_raises(self, depth):
+        with pytest.raises(DepthOutOfRange, match="positive integer"):
+            asymptotic_p_value(0.05, 100, 100, depth)
+
     def test_numpy_integer_sizes_and_depth_are_integers(self):
         assert asymptotic_p_value(0.05, np.int64(100), np.int32(100), np.int64(3)) == (
             asymptotic_p_value(0.05, 100, 100, 3))
