@@ -36,6 +36,7 @@ from .core import TiePolicy, _check_sizes, august_plus
 from .errors import (
     AugustError,
     IOFailure,
+    InvalidParameter,
     ParseError,
     SampleTooSmall,
 )
@@ -364,7 +365,7 @@ def _family_tests(family, tests):
         return tests
     for test in tests:
         if test not in ("august", "august-multi"):
-            raise ValueError(
+            raise InvalidParameter(
                 f"test {test!r} has no bivariate form; bivariate family "
                 f"{family.name!r} runs august-multi only"
             )

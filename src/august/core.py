@@ -11,7 +11,8 @@ the x points with k y points at or below them are the run between the
 k-th and (k+1)-th y points, so each count's tally is a run length, and
 averaging is the tallies times each count's cell probabilities.  One loop,
 ``august_labels``, does this for chunks of label masks (True marks a y
-point): a null table hands it the masks ``_seeds.relabellings`` draws, and
+point): a null table hands it the masks ``_seeds.relabellings`` draws, the
+multivariate permutation loop the masks of its sorted distances, and
 ``august_many`` argsorts each chunk of value pairs into masks.  The loop
 builds the cell rows of every count once per call and writes every chunk's
 run lengths into one buffer per side, which keeps the allocator from
@@ -272,10 +273,11 @@ def august_labels(chunks, m, n, depth):
     """Yield ``(statistics, s_x, s_y)`` of each chunk of boolean rows, in order.
 
     Each row is a label mask: True marks which of ``m + n`` sorted points
-    are y points, as ``_seeds.relabellings`` draws them and ``august_many``
-    argsorts them.  The cell rows of every count are built once per side
-    for all the chunks, and the run lengths of every chunk go into one
-    buffer per side, grown for a longer chunk.
+    are y points, as ``_seeds.relabellings`` draws them, ``august_many``
+    argsorts them and the multivariate permutation loop sorts them.  The
+    cell rows of every count are built once per side for all the chunks,
+    and the run lengths of every chunk go into one buffer per side, grown
+    for a longer chunk.
     """
     cfg = SubsampleConfig(depth)
     cells_x = cell_probabilities_for_counts(np.arange(n + 1), n, cfg)

@@ -4,7 +4,7 @@ __all__ = [
     "AugustError", "SampleTooSmall", "NonFiniteInput", "TiesPresent",
     "DepthOutOfRange", "LengthNotPowerOfTwo", "DegenerateVector",
     "QuadratureFailure", "SingularCovariance", "DimensionMismatch",
-    "EmptySample", "IOFailure", "ParseError",
+    "EmptySample", "IOFailure", "ParseError", "InvalidParameter",
 ]
 
 
@@ -67,3 +67,12 @@ class ParseError(AugustError):
         super().__init__(message)
         self.row = row
         self.column = column
+
+
+class InvalidParameter(AugustError, ValueError):
+    """A named choice or a parameter value that the operation does not accept.
+
+    An unknown family, a family parameter out of its range, or a test that
+    a family has no form for.  It is also a ``ValueError``, so a caller that
+    catches a bad argument value as one catches these too.
+    """

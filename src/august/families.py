@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvalidParameter
+
 __all__ = ["Family", "UNIVARIATE_FAMILIES", "BIVARIATE_FAMILIES", "get_family"]
 
 
@@ -36,7 +38,7 @@ def _std_normal2(rng, size):
 
 def normal_mixture_sampler(separation):
     if not 0.0 <= separation < 1.0:
-        raise ValueError("separation must lie in [0, 1)")
+        raise InvalidParameter("separation must lie in [0, 1)")
     tau = np.sqrt(1.0 - separation**2)
 
     def sample(rng, size):
@@ -51,7 +53,7 @@ def _scale_sampler(draw):
 
     def alternative(scale):
         if not scale > 0.0:
-            raise ValueError("scale must be positive")
+            raise InvalidParameter("scale must be positive")
         return lambda rng, size: draw(rng, size, scale)
 
     return alternative
@@ -160,4 +162,4 @@ def get_family(name):
     if name in BIVARIATE_FAMILIES:
         return BIVARIATE_FAMILIES[name]
     known = sorted(UNIVARIATE_FAMILIES) + sorted(BIVARIATE_FAMILIES)
-    raise ValueError(f"unknown family {name!r}; choose from {known}")
+    raise InvalidParameter(f"unknown family {name!r}; choose from {known}")

@@ -8,7 +8,11 @@ correspond to nested elliptical rings centered on the fitted mean.  The
 univariate asymptotic theory does not transfer, so p-values come from a
 permutation test, which fits both branches of a whole chunk of
 relabelings by matrix products over the pooled points, under the
-refusals of ``fit_mahalanobis``.
+refusals of ``fit_mahalanobis``.  Each branch's squared distances are
+ranked by one sort of packed keys, the float bits of a distance shifted
+left by one with the point's label in the low bit, so an exact tie puts
+the x point first; the sorted low bits are the label masks that
+``august_labels`` scores, one call for both branches of every chunk.
 """
 
 from dataclasses import dataclass
@@ -16,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _seeds
-from .core import august_many, august_plus
+from .core import august_labels, august_plus
+from .core import august_many  # noqa: F401  (benchmark/tracer.py wraps this name)
 from .errors import DimensionMismatch, NonFiniteInput, SingularCovariance
 
 __all__ = [
@@ -82,7 +87,11 @@ def _inverse_factors(covs):
         raise SingularCovariance(
             "sample covariance is singular; reduce dimension or pass ridge > 0"
         ) from exc
-    if np.any(np.linalg.cond(covs) > _MAX_CONDITION):
+    # Symmetric positive definite: the condition number is max / min eigenvalue.
+    # An overflowed covariance, with inf or NaN entries, is refused as well.
+    eigenvalues = np.linalg.eigvalsh(covs)
+    if not (np.isfinite(covs).all() and np.all(
+            eigenvalues[..., -1] <= _MAX_CONDITION * eigenvalues[..., 0])):
         raise SingularCovariance(
             "sample covariance condition number exceeds 1e12; reduce "
             "dimension or pass ridge > 0"
@@ -152,34 +161,25 @@ class MultiResult:
         return "x" if self.branch_x.statistic >= self.branch_y.statistic else "y"
 
 
-def _batched_permutation_stats(pooled, m, depth, permutations, seed, ridge):
-    """Statistics for seeded random relabelings, computed in batches.
+def _relabelled_distances(pooled, m, permutations, seed, ridge):
+    """Yield ``(is_y, squared)`` for each chunk of relabelings, x branch first.
 
     Permutation ``i`` is ``_seeds.relabellings`` mask i in the PERMUTATION
     domain: its False points form the x sample and its True points the y
-    sample, each in pooled order, which the rank statistic does not read.
-    Relabeled continuous data is tie-free almost surely, so no tie policy
-    applies.  A chunk's fits are matrix products over the pooled points,
-    centred once (the distances are affine invariant), with the x weights
-    the masks' False entries as floats, and pass ``_fit``'s refusals.
-    Squared distances rank as ``transform``'s do and the statistic reads
-    ranks only: the same bytes unless two pooled distances lie within
-    rounding (about 1e-15 relative) of each other; exact ties, as from
-    duplicate points, stay exact.
+    sample.  ``squared`` holds, row by row, the squared distance of every
+    pooled point under the fit of that branch's sample, in pooled order.
+    A chunk's fits are matrix products over the pooled points, centred once
+    (the distances are affine invariant), with the x weights the masks'
+    False entries as floats, and pass ``_fit``'s refusals.
     """
     total, dim = pooled.shape
     n = total - m
     z = pooled - pooled.mean(axis=0)
     outer = (z[:, :, None] * z[:, None, :]).reshape(total, dim * dim)
     chunk = max(1, 2_000_000 // (total * dim))  # about 2e6 whitened values
-    stats = []
     for _, piece in _seeds.relabellings(seed, _seeds.PERMUTATION, permutations, m, n):
         for is_y in np.split(piece, range(chunk, len(piece), chunk)):
-            is_x = ~is_y
-            # Flat positions split a chunk far faster than a 2-D boolean index.
-            at_x, at_y = np.flatnonzero(is_x), np.flatnonzero(is_y)
-            in_x = is_x.astype(np.float64)
-            branch_stats = []
+            in_x = (~is_y).astype(np.float64)
             for weights, size in ((in_x, m), (1.0 - in_x, n)):
                 means = weights @ z / size
                 covs = (weights @ outer).reshape(-1, dim, dim)
@@ -187,12 +187,55 @@ def _batched_permutation_stats(pooled, m, depth, permutations, seed, ridge):
                 factors = _inverse_factors(covs / (size - 1) + ridge * np.eye(dim))
                 whitened = (factors.reshape(-1, dim) @ z.T).reshape(-1, dim, total)
                 whitened -= factors @ means[:, :, None]
-                squared = np.square(whitened, out=whitened).sum(axis=1).ravel()
-                branch_stats.append(august_many(
-                    squared[at_x].reshape(-1, m), squared[at_y].reshape(-1, n), depth
-                )[0])
-            stats.append(np.maximum(branch_stats[0], branch_stats[1]))
-    return np.concatenate(stats)
+                yield is_y, np.square(whitened, out=whitened).sum(axis=1)
+
+
+# The packed key of +inf; the keys of +inf and of every NaN are at or above it.
+_NON_FINITE_KEY = np.uint64(np.float64(np.inf).view(np.uint64) << np.uint64(1))
+
+
+def _sorted_labels(distances):
+    """Yield each chunk's y-label masks in the order of its squared distances.
+
+    Squared distances are at least +0.0, so their float64 bits, read as
+    unsigned integers, order as their values do.  Shifted left by one, the
+    sign bit (always clear) drops out and the low bit takes the point's
+    label, so one in-place sort of the keys orders the points by distance
+    and puts exact ties x before y; the low bits of the sorted keys are
+    then the label mask.  The sort overwrites ``squared``.
+    """
+    for is_y, squared in distances:
+        keys = squared.view(np.uint64)
+        keys <<= np.uint64(1)
+        keys |= is_y
+        keys.sort(axis=1)
+        if keys[:, -1].max() >= _NON_FINITE_KEY:
+            raise NonFiniteInput("squared distances must be finite")
+        keys &= np.uint64(1)
+        yield keys.astype(bool)
+
+
+def _batched_permutation_stats(pooled, m, depth, permutations, seed, ridge):
+    """Statistics for seeded random relabelings, computed in batches.
+
+    Each chunk of relabelings is fitted under both branches by
+    ``_relabelled_distances``, and each branch's squared distances are
+    ranked into label masks by ``_sorted_labels``: one sort of packed keys
+    per branch.  Both branches' masks go through one ``august_labels`` call,
+    as alternating chunks, so the cell rows are built once; the statistic
+    is the larger of a chunk's two branch statistics.  Relabeled continuous
+    data is tie-free almost surely, so no tie policy applies, and an exact
+    tie, as from duplicate points, puts the x point first.  Squared
+    distances rank as ``transform``'s distances do unless two of them lie
+    within rounding (about 1e-15 relative) of each other, and the
+    statistic reads ranks only.
+    """
+    n = len(pooled) - m
+    masks = _sorted_labels(_relabelled_distances(pooled, m, permutations, seed, ridge))
+    scored = august_labels(masks, m, n, depth)
+    return np.concatenate(
+        [np.maximum(x_fit[0], y_fit[0]) for x_fit, y_fit in zip(scored, scored)]
+    )
 
 
 def _permutation_test(x, y, depth, permutations, seed, tie_policy, ridge):

@@ -21,7 +21,7 @@ from august.cli import (
     build_parser,
     main,
 )
-from august.errors import ParseError
+from august.errors import InvalidParameter, ParseError
 
 
 def write_labeled(path, x, y, labels=("a", "b")):
@@ -742,6 +742,27 @@ class TestExitCodes:
         assert err == {"type": "DepthOutOfRange",
                        "message": "depth must be a positive integer"}
         assert os.listdir(workdir) == ["d.csv"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--families", "laplace-scale", "--params", "0"], "scale must be positive"),
+        (["--families", "normal-mixture", "--params", "1"],
+         "separation must lie in [0, 1)"),
+        (["--families", "nope"], "unknown family 'nope'; choose from ["),
+        (["--families", "null,mvn-location", "--tests", "ks"],
+         "test 'ks' has no bivariate form; bivariate family 'mvn-location' "
+         "runs august-multi only"),
+    ], ids=["scale", "separation", "family", "bivariate-test"])
+    def test_invalid_parameter_is_precondition_error(self, argv, message, workdir,
+                                                     monkeypatch, capsys):
+        monkeypatch.chdir(workdir)
+        code = main(["power", *argv, "--reps", "100", "--cache-dir", "cache",
+                     "--report", "power.csv"])
+        assert code == EXIT_PRECONDITION
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "InvalidParameter"
+        assert err["message"].startswith(message)
+        assert os.listdir(workdir) == []
+        assert issubclass(InvalidParameter, ValueError)  # as it was before
 
 
 def read_rows_by_field(path, labelled, width):

@@ -14,6 +14,7 @@ from august import (
 )
 from august import _seeds
 from august import multivariate as mv
+from august.core import august_labels
 
 
 class TestFitMahalanobis:
@@ -48,6 +49,39 @@ class TestFitMahalanobis:
         rng = np.random.default_rng(3)
         model = fit_mahalanobis(rng.normal(size=(50, 3)))
         assert transform(model.mean[None, :], model)[0] == pytest.approx(0.0, abs=1e-12)
+
+    def test_condition_refusal_is_the_svd_condition_refusal(self):
+        # Eigenvalue and SVD estimates of a condition number near 1e12 differ
+        # by up to about 4e-4 relative, so the covariances keep 1e-3 from it.
+        rng = np.random.default_rng(23)
+        for dim in (2, 3):
+            condition = np.geomspace(1e11, 1e13, 2000)
+            rotations = np.linalg.qr(rng.standard_normal((2000, dim, dim)))[0]
+            scale = 10.0 ** rng.uniform(-3, 3, (2000, 1))
+            spectrum = scale * condition[:, None] ** rng.uniform(-1, 0, (2000, dim))
+            spectrum[:, 0], spectrum[:, -1] = scale[:, 0] / condition, scale[:, 0]
+            covs = (rotations * spectrum[:, None, :]) @ rotations.transpose(0, 2, 1)
+            covs = (covs + covs.transpose(0, 2, 1)) / 2
+            svd = np.linalg.cond(covs)
+            kept = np.abs(svd / 1e12 - 1) > 1e-3
+            assert 0 < (svd[kept] > 1e12).sum() < kept.sum()
+            for cov, refused in zip(covs[kept], svd[kept] > 1e12):
+                if refused:
+                    with pytest.raises(SingularCovariance, match="exceeds 1e12"):
+                        mv._inverse_factors(cov[None])
+                else:
+                    assert np.isfinite(mv._inverse_factors(cov[None])).all()
+
+    def test_overflowing_covariance_is_refused(self):
+        # Squares of 1e155 overflow: the covariance holds inf, and NaN where
+        # inf - inf meets, and cannot be factored.
+        z = np.random.default_rng(24).normal(size=(30, 2)) * 1e155
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(SingularCovariance, match="exceeds 1e12"):
+                fit_mahalanobis(z)
+            for cov in ([[np.inf, 0.0], [0.0, 1.0]], [[1.0, np.nan], [np.nan, 1.0]]):
+                with pytest.raises(SingularCovariance, match="exceeds 1e12"):
+                    mv._inverse_factors(np.array([cov]))
 
 
 class TestTransform:
@@ -137,29 +171,79 @@ class TestPermutationPValue:
     def test_loop_distances_rank_as_the_observed_reduction(self, monkeypatch):
         # The statistic reads ranks only: under every relabelling and branch
         # the loop's squared distances order the pooled points as the
-        # distances of fit_mahalanobis and transform do, and their roots
-        # agree with those distances to rounding.
+        # distances of fit_mahalanobis and transform do, their roots agree
+        # with those distances to rounding, and the mask the loop hands to
+        # august_labels is the labels in that order.
         rng = np.random.default_rng(16)
         pooled = np.vstack([rng.standard_normal((35, 3)),
                             rng.standard_normal((40, 3)) * 1.3])
         seen = []
 
-        def recording_august_many(tx, ty, depth):
-            seen.append((tx, ty))
-            return (np.zeros(len(tx)),)
+        def recording_august_labels(chunks, m, n, depth):
+            for is_y in chunks:
+                seen.append(is_y)
+                yield (np.zeros(len(is_y)),)
 
-        monkeypatch.setattr(mv, "august_many", recording_august_many)
+        monkeypatch.setattr(mv, "august_labels", recording_august_labels)
         mv._batched_permutation_stats(pooled, 35, 2, 20, 5, 0.0)
-        (x_fit_x, x_fit_y), (y_fit_x, y_fit_y) = seen
+        (x_is_y, x_fit), (y_is_y, y_fit) = mv._relabelled_distances(
+            pooled, 35, 20, 5, 0.0)
         (_, masks), = _seeds.relabellings(5, _seeds.PERMUTATION, 20, 35, 40)
+        assert np.array_equal(x_is_y, masks) and np.array_equal(y_is_y, masks)
+        labels = np.arange(75) >= 35  # y after x, as in the direct reduction
         for i, is_y in enumerate(masks):
             x, y = pooled[~is_y], pooled[is_y]
-            for model, tx, ty in ((fit_mahalanobis(x), x_fit_x, x_fit_y),
-                                  (fit_mahalanobis(y), y_fit_x, y_fit_y)):
-                loop = np.concatenate([tx[i], ty[i]])
+            for model, squared, handed in ((fit_mahalanobis(x), x_fit, seen[0]),
+                                           (fit_mahalanobis(y), y_fit, seen[1])):
+                loop = np.concatenate([squared[i][~is_y], squared[i][is_y]])
                 direct = np.concatenate([transform(x, model), transform(y, model)])
                 assert np.array_equal(np.argsort(loop), np.argsort(direct))
                 assert np.allclose(np.sqrt(loop), direct, rtol=1e-12, atol=0)
+                assert np.array_equal(handed[i], labels[np.argsort(direct)])
+
+    def test_exact_ties_put_x_before_y(self):
+        # Duplicate points tie exactly under every fit; the loop ranks them
+        # as a lexsort on (distance, label) does, and the other tie order
+        # gives other statistics.
+        rng = np.random.default_rng(21)
+        base = rng.standard_normal((30, 2))
+        pooled = np.vstack([base, base[:25]])
+        m, n = 27, 28
+
+        def reference(y_first):
+            masks = (np.take_along_axis(is_y, np.lexsort((is_y != y_first, squared)), 1)
+                     for is_y, squared in mv._relabelled_distances(pooled, m, 300, 3, 0.0))
+            scored = august_labels(masks, m, n, 2)
+            return np.concatenate([np.maximum(x_fit[0], y_fit[0])
+                                   for x_fit, y_fit in zip(scored, scored)])
+
+        for is_y, squared in mv._relabelled_distances(pooled, m, 300, 3, 0.0):
+            tied = squared[:, :25] == squared[:, 30:]
+            assert (tied & (is_y[:, :25] != is_y[:, 30:])).any()
+        loop = mv._batched_permutation_stats(pooled, m, 2, 300, 3, 0.0)
+        assert np.array_equal(loop, reference(y_first=False))
+        assert not np.array_equal(loop, reference(y_first=True))
+
+    def test_one_row_chunk_is_its_row_of_a_larger_batch(self):
+        # With 2049 permutations the second block is one relabelling, scored
+        # alone; with 2100 it is the first of 52.
+        rng = np.random.default_rng(22)
+        pooled = np.vstack([rng.standard_normal((20, 2)),
+                            rng.standard_normal((24, 2)) + 0.2])
+        alone = mv._batched_permutation_stats(pooled, 20, 2, 2049, 9, 0.0)
+        batched = mv._batched_permutation_stats(pooled, 20, 2, 2100, 9, 0.0)
+        assert abs(alone[2048] - batched[2048]) <= 1e-15
+        assert np.allclose(alone[:2048], batched[:2048], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.nan, np.inf])
+    def test_non_finite_distances_are_refused(self, bad):
+        is_y = np.array([[False, True, False, True]] * 2)
+        squared = np.array([[0.0, 1.0, 2.0, 3.0], [4.0, 1.0, 0.5, 3.0]])
+        assert np.array_equal(next(mv._sorted_labels([(is_y, squared.copy())])),
+                              [[False, True, False, True], [False, True, True, False]])
+        squared[1, 2] = bad
+        with pytest.raises(NonFiniteInput):
+            list(mv._sorted_labels([(is_y, squared)]))
 
     def test_singular_relabelling_is_refused_as_fit_refuses(self):
         # Both observed fits succeed; a relabelling that puts the three
